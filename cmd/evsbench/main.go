@@ -218,17 +218,15 @@ func batching(replicas int, clients []int, actions int, syncLat time.Duration, j
 	}
 
 	evsEnc, evsDec := evs.CodecAllocsPerOp()
-	binEnc, binDec, jsonEnc, jsonDec := core.CodecAllocsPerOp()
+	binEnc, binDec := core.CodecAllocsPerOp()
 	report.CodecAllocs = map[string]float64{
 		"evsDataEncode":      evsEnc,
 		"evsDataDecode":      evsDec,
 		"engineActionEncode": binEnc,
 		"engineActionDecode": binDec,
-		"legacyJSONEncode":   jsonEnc,
-		"legacyJSONDecode":   jsonDec,
 	}
-	fmt.Printf("  codec allocs/op: evs data enc=%.1f dec=%.1f | engine action enc=%.1f dec=%.1f (legacy JSON enc=%.1f dec=%.1f)\n",
-		evsEnc, evsDec, binEnc, binDec, jsonEnc, jsonDec)
+	fmt.Printf("  codec allocs/op: evs data enc=%.1f dec=%.1f | engine action enc=%.1f dec=%.1f\n",
+		evsEnc, evsDec, binEnc, binDec)
 	fmt.Println()
 
 	if jsonPath != "" {

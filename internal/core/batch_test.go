@@ -179,7 +179,7 @@ func TestBatchWALReplay(t *testing.T) {
 		{ID: types.ActionID{Server: "a", Index: 5}, Type: types.ActionUpdate,
 			Update: db.EncodeUpdate(db.Add("n", 100))},
 	}
-	e.appendLog(logRecord{T: recOngoingBatch, Actions: orphans})
+	e.appendLog(logRecord{Kind: recOngoingBatch, Actions: orphans})
 	e.syncLog("test")
 
 	cfg.GC = newFakeGC()

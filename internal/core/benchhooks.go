@@ -21,14 +21,12 @@ func codecSpecimen() engineMsg {
 }
 
 // CodecAllocsPerOp measures allocations per encode and per decode of a
-// representative action frame, for the binary engine codec (encode via
-// the pooled path the multicast hot path uses) and for the legacy JSON
-// codec it replaced. cmd/evsbench records the four numbers in its JSON
-// output.
-func CodecAllocsPerOp() (binEnc, binDec, jsonEnc, jsonDec float64) {
+// representative action frame by the engine codec (encode via the pooled
+// path the multicast hot path uses). cmd/evsbench records the two numbers
+// in its JSON output.
+func CodecAllocsPerOp() (binEnc, binDec float64) {
 	m := codecSpecimen()
 	frame := encodeEngineMsg(m)
-	jsonFrame := encodeEngineMsgJSON(m)
 	binEnc = testing.AllocsPerRun(200, func() {
 		bp := encBufs.Get().(*[]byte)
 		buf := appendEngineMsg((*bp)[:0], m)
@@ -40,13 +38,5 @@ func CodecAllocsPerOp() (binEnc, binDec, jsonEnc, jsonDec float64) {
 			panic(err)
 		}
 	})
-	jsonEnc = testing.AllocsPerRun(200, func() {
-		_ = encodeEngineMsgJSON(m)
-	})
-	jsonDec = testing.AllocsPerRun(200, func() {
-		if _, err := decodeEngineMsgJSON(jsonFrame); err != nil {
-			panic(err)
-		}
-	})
-	return binEnc, binDec, jsonEnc, jsonDec
+	return binEnc, binDec
 }

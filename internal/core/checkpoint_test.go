@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"testing"
 
 	"evsdb/internal/db"
@@ -147,14 +146,14 @@ func TestCheckpointRecordsDecode(t *testing.T) {
 	}
 	recs, _ := log.Records()
 	for i, buf := range recs {
-		var rec logRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
+		rec, err := decodeLogRecord(buf)
+		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		switch rec.T {
+		switch rec.Kind {
 		case recCheckpoint, recRed, recOngoing, recState:
 		default:
-			t.Fatalf("record %d has unexpected type %q", i, rec.T)
+			t.Fatalf("record %d has unexpected kind %d", i, rec.Kind)
 		}
 	}
 }

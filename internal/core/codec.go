@@ -10,31 +10,38 @@ import (
 	"evsdb/internal/types"
 )
 
-// Engine-message wire format, version 1.
+// One framed codec serves the wire and the WAL, version 1 of each.
 //
-// Every frame starts with a three-byte header:
+// Every engine message and every log record starts with a three-byte
+// header:
 //
-//	[0] engineMagic — distinguishes engine frames from foreign traffic
+//	[0] magic — engineMagic on the wire, walMagic in the log, so foreign
+//	    traffic, and a frame of one replayed as the other, is rejected
 //	[1] codec version — mixed-version frames fail loudly at decode
 //	    instead of being mis-parsed
-//	[2] message kind
+//	[2] message kind (engineMsgKind) or record kind (recKind)
 //
-// Hot-path kinds (emAction, emBatch, emRetrans — every ordered action
-// pays one of these per hop) use a hand-rolled little-endian binary body:
-// the JSON codec the engine started with dominated the submit path's CPU
-// and allocation profile. Rare kinds (emState, emCPC, emSnapshot — one
-// per view change or catch-up) keep JSON bodies behind the same header:
-// they carry maps and nested snapshots where JSON's flexibility matters
-// more than its cost.
+// Hot kinds (emAction, emBatch, emRetrans — every ordered action pays one
+// of these per hop; recRed, recGreen, recOngoing and their batch forms —
+// every action pays each once per replica) use a hand-rolled
+// little-endian binary body built from the helpers below: JSON dominated
+// the submit path's and then the log path's CPU and allocation profile.
+// Rare kinds (emState, emCPC, emSnapshot, recState, recCheckpoint — one
+// per view change, catch-up or sync point) keep JSON bodies behind the
+// same header: they carry maps and nested snapshots where JSON's
+// flexibility matters more than its cost.
 const (
 	engineMagic   = 0xEC
 	engineCodecV1 = 1
+	walMagic      = 0xE7
+	walCodecV1    = 1
 )
 
-// encBufs pools encode buffers for the multicast hot path. Safe because
-// every GroupCom implementation copies (or fully consumes) the payload
-// before Multicast returns, and decodeAction copies byte slices out of
-// the frame rather than aliasing them.
+// encBufs pools encode buffers for the multicast and log-append hot
+// paths. Safe because every GroupCom and storage.Log implementation
+// copies (or fully consumes) the payload before Multicast / Append
+// returns, and getAction copies byte slices out of the frame rather than
+// aliasing them.
 var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // multicastMsg encodes m into a pooled buffer and multicasts it with
@@ -108,15 +115,6 @@ func appendAction(buf []byte, a types.Action) []byte {
 	return putStr(buf, a.Proc)
 }
 
-// actionSize returns the exact encoded size of an action, so batch
-// encodes can preallocate once.
-func actionSize(a types.Action) int {
-	return 2 + len(a.ID.Server) + 8 + 1 + 1 + 8 +
-		2 + len(a.Client) + 8 +
-		4 + len(a.Query) + 4 + len(a.Update) +
-		2 + len(a.Target) + 2 + len(a.Proc)
-}
-
 func getAction(buf []byte) (types.Action, []byte, bool) {
 	var a types.Action
 	var s string
@@ -157,6 +155,62 @@ func getAction(buf []byte) (types.Action, []byte, bool) {
 	return a, buf, true
 }
 
+// appendActions appends a u32 count and that many actions.
+func appendActions(buf []byte, acts []types.Action) []byte {
+	buf = putU32(buf, uint32(len(acts)))
+	for _, a := range acts {
+		buf = appendAction(buf, a)
+	}
+	return buf
+}
+
+// getCount reads a u32 element count. An element encodes to at least
+// minSize bytes; a count beyond what the rest of the frame could hold is a
+// corrupt frame, not an allocation request.
+func getCount(buf []byte, minSize int) (int, []byte, bool) {
+	if len(buf) < 4 {
+		return 0, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	buf = buf[4:]
+	return n, buf, n <= len(buf)/minSize
+}
+
+func getActions(buf []byte) ([]types.Action, []byte, bool) {
+	n, buf, ok := getCount(buf, 42) // the smallest action
+	if !ok {
+		return nil, nil, false
+	}
+	acts := make([]types.Action, n)
+	for i := range acts {
+		if acts[i], buf, ok = getAction(buf); !ok {
+			return nil, nil, false
+		}
+	}
+	return acts, buf, true
+}
+
+func appendActionID(buf []byte, id types.ActionID) []byte {
+	return putU64(putStr(buf, string(id.Server)), id.Index)
+}
+
+func getActionID(buf []byte) (types.ActionID, []byte, bool) {
+	s, buf, ok := getStr(buf)
+	if !ok || len(buf) < 8 {
+		return types.ActionID{}, nil, false
+	}
+	return types.ActionID{Server: types.ServerID(s), Index: binary.LittleEndian.Uint64(buf)}, buf[8:], true
+}
+
+// appendJSON appends the JSON body of a rare kind.
+func appendJSON(buf []byte, v any) []byte {
+	body, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("core: marshal %T: %v", v, err))
+	}
+	return append(buf, body...)
+}
+
 // appendEngineMsg appends the full framed encoding of m to buf.
 func appendEngineMsg(buf []byte, m engineMsg) []byte {
 	buf = append(buf, engineMagic, engineCodecV1, byte(m.Kind))
@@ -164,11 +218,7 @@ func appendEngineMsg(buf []byte, m engineMsg) []byte {
 	case emAction:
 		return appendAction(buf, *m.Action)
 	case emBatch:
-		buf = putU32(buf, uint32(len(m.Batch)))
-		for _, a := range m.Batch {
-			buf = appendAction(buf, a)
-		}
-		return buf
+		return appendActions(buf, m.Batch)
 	case emRetrans:
 		r := m.Retrans
 		var flags byte
@@ -179,49 +229,41 @@ func appendEngineMsg(buf []byte, m engineMsg) []byte {
 		buf = putU64(buf, r.GreenSeq)
 		return appendAction(buf, r.Action)
 	case emState, emCPC, emSnapshot:
-		body, err := json.Marshal(m)
-		if err != nil {
-			panic(fmt.Sprintf("core: marshal engine message: %v", err))
-		}
-		return append(buf, body...)
+		return appendJSON(buf, m)
 	default:
 		panic(fmt.Sprintf("core: encode unknown engine message kind %d", int(m.Kind)))
 	}
 }
 
-// encodeEngineMsg returns the framed encoding of m in a fresh,
-// exactly-sized buffer.
-func encodeEngineMsg(m engineMsg) []byte {
-	size := 3
-	switch m.Kind {
-	case emAction:
-		size += actionSize(*m.Action)
-	case emBatch:
-		size += 4
-		for _, a := range m.Batch {
-			size += actionSize(a)
-		}
-	case emRetrans:
-		size += 1 + 8 + actionSize(m.Retrans.Action)
+// encodeEngineMsg returns the framed encoding of m in a fresh buffer.
+func encodeEngineMsg(m engineMsg) []byte { return appendEngineMsg(nil, m) }
+
+// frameBody checks a frame's three-byte header against the magic and
+// version its reader expects and returns the kind byte and the body. what
+// names the frame ("engine frame", "WAL record") in the errors.
+func frameBody(buf []byte, magic, version byte, what string) (byte, []byte, error) {
+	if len(buf) < 3 {
+		return 0, nil, fmt.Errorf("core: %s too short (%d bytes)", what, len(buf))
 	}
-	return appendEngineMsg(make([]byte, 0, size), m)
+	if buf[0] != magic {
+		return 0, nil, fmt.Errorf("core: %s has foreign magic 0x%02x, want 0x%02x", what, buf[0], magic)
+	}
+	if buf[1] != version {
+		// Loud, specific failure: a mixed-version cluster, or a log written
+		// by another codec version, must surface the incompatibility
+		// instead of being mis-parsed.
+		return 0, nil, fmt.Errorf("core: %s codec version mismatch: frame v%d, this node speaks v%d",
+			what, buf[1], version)
+	}
+	return buf[2], buf[3:], nil
 }
 
 func decodeEngineMsg(buf []byte) (engineMsg, error) {
-	if len(buf) < 3 {
-		return engineMsg{}, fmt.Errorf("core: engine frame too short (%d bytes)", len(buf))
+	k, rest, err := frameBody(buf, engineMagic, engineCodecV1, "engine frame")
+	if err != nil {
+		return engineMsg{}, err
 	}
-	if buf[0] != engineMagic {
-		return engineMsg{}, fmt.Errorf("core: not an engine frame (magic 0x%02x)", buf[0])
-	}
-	if buf[1] != engineCodecV1 {
-		// Loud, specific failure: a mixed-version cluster must surface the
-		// incompatibility instead of mis-parsing the frame.
-		return engineMsg{}, fmt.Errorf("core: engine codec version mismatch: frame v%d, this node speaks v%d",
-			buf[1], engineCodecV1)
-	}
-	kind := engineMsgKind(buf[2])
-	rest := buf[3:]
+	kind := engineMsgKind(k)
 	bad := func() (engineMsg, error) {
 		return engineMsg{}, fmt.Errorf("core: truncated engine frame (kind %d)", int(kind))
 	}
@@ -233,26 +275,8 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 		}
 		return engineMsg{Kind: emAction, Action: &a}, nil
 	case emBatch:
-		if len(rest) < 4 {
-			return bad()
-		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		// The smallest action encodes to 42 bytes; a count beyond that is
-		// a corrupt frame, not an allocation request.
-		if n > len(rest)/42+1 {
-			return bad()
-		}
-		batch := make([]types.Action, 0, n)
-		for i := 0; i < n; i++ {
-			var a types.Action
-			var ok bool
-			if a, rest, ok = getAction(rest); !ok {
-				return bad()
-			}
-			batch = append(batch, a)
-		}
-		if len(rest) != 0 {
+		batch, rest, ok := getActions(rest)
+		if !ok || len(rest) != 0 {
 			return bad()
 		}
 		return engineMsg{Kind: emBatch, Batch: batch}, nil
@@ -278,21 +302,69 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 	}
 }
 
-// Legacy JSON codec, retained for the micro-benchmarks and the fuzz
-// cross-check against the binary path (it was the v0 wire format; new
-// frames never use it).
-func encodeEngineMsgJSON(m engineMsg) []byte {
-	buf, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("core: marshal engine message: %v", err))
+// appendLogRecord appends the full framed encoding of one WAL record.
+// Single-action kinds carry exactly one element in Actions / IDs.
+func appendLogRecord(buf []byte, rec logRecord) []byte {
+	buf = append(buf, walMagic, walCodecV1, byte(rec.Kind))
+	switch rec.Kind {
+	case recRed, recOngoing:
+		return appendAction(buf, rec.Actions[0])
+	case recRedBatch, recOngoingBatch:
+		return appendActions(buf, rec.Actions)
+	case recGreen:
+		return appendActionID(buf, rec.IDs[0])
+	case recGreenBatch:
+		buf = putU32(buf, uint32(len(rec.IDs)))
+		for _, id := range rec.IDs {
+			buf = appendActionID(buf, id)
+		}
+		return buf
+	case recState:
+		return appendJSON(buf, rec.State)
+	case recCheckpoint:
+		return appendJSON(buf, rec.Snap)
+	default:
+		panic(fmt.Sprintf("core: encode unknown WAL record kind %d", int(rec.Kind)))
 	}
-	return buf
 }
 
-func decodeEngineMsgJSON(buf []byte) (engineMsg, error) {
-	var m engineMsg
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return engineMsg{}, fmt.Errorf("core: unmarshal engine message: %w", err)
+func decodeLogRecord(buf []byte) (logRecord, error) {
+	k, rest, err := frameBody(buf, walMagic, walCodecV1, "WAL record")
+	if err != nil {
+		return logRecord{}, err
 	}
-	return m, nil
+	rec, ok := logRecord{Kind: recKind(k)}, false
+	switch rec.Kind {
+	case recRed, recOngoing:
+		rec.Actions = make([]types.Action, 1)
+		rec.Actions[0], rest, ok = getAction(rest)
+	case recRedBatch, recOngoingBatch:
+		rec.Actions, rest, ok = getActions(rest)
+	case recGreen:
+		rec.IDs = make([]types.ActionID, 1)
+		rec.IDs[0], rest, ok = getActionID(rest)
+	case recGreenBatch:
+		var n int
+		if n, rest, ok = getCount(rest, 10); ok { // the smallest action id
+			rec.IDs = make([]types.ActionID, n)
+			for i := 0; ok && i < n; i++ {
+				rec.IDs[i], rest, ok = getActionID(rest)
+			}
+		}
+	case recState:
+		rec.State = new(persistState)
+		rest, ok, err = nil, true, json.Unmarshal(rest, rec.State)
+	case recCheckpoint:
+		rec.Snap = new(JoinSnapshot)
+		rest, ok, err = nil, true, json.Unmarshal(rest, rec.Snap)
+	default:
+		return logRecord{}, fmt.Errorf("core: unknown WAL record kind %d", int(rec.Kind))
+	}
+	if err != nil {
+		return logRecord{}, fmt.Errorf("core: unmarshal WAL record (kind %d): %w", int(rec.Kind), err)
+	}
+	if !ok || len(rest) != 0 {
+		return logRecord{}, fmt.Errorf("core: truncated WAL record (kind %d)", int(rec.Kind))
+	}
+	return rec, nil
 }

@@ -6,9 +6,9 @@ import (
 	"evsdb/internal/types"
 )
 
-// The benchmarks compare the binary engine codec against the legacy JSON
-// codec it replaced (kept in codec.go for exactly this comparison and
-// the fuzz cross-check). Run with -benchmem to see the allocation win.
+// Micro-benchmarks of the engine codec's hot kinds. EXPERIMENTS.md and
+// BENCH_batching.json record the comparison against the JSON codec it
+// replaced.
 
 func benchBatch(n int) engineMsg {
 	batch := make([]types.Action, n)
@@ -47,29 +47,11 @@ func BenchmarkEncodeActionPooled(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeActionJSON(b *testing.B) {
-	m := codecSpecimen()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = encodeEngineMsgJSON(m)
-	}
-}
-
 func BenchmarkDecodeActionBinary(b *testing.B) {
 	frame := encodeEngineMsg(codecSpecimen())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := decodeEngineMsg(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeActionJSON(b *testing.B) {
-	frame := encodeEngineMsgJSON(codecSpecimen())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeEngineMsgJSON(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1019,7 +1019,7 @@ func (e *Engine) answerQuery(req submitReq) {
 // group-commit writer so the protocol loop never blocks on the disk.
 func (e *Engine) createAndGenerate(req submitReq) {
 	a := e.createAction(req)
-	e.appendLog(logRecord{T: recOngoing, Action: &a})
+	e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 	e.syncer.After(func() { e.generate(a) })
 }
 
@@ -1049,9 +1049,9 @@ func (e *Engine) logActions(acts []types.Action) {
 	switch len(acts) {
 	case 0:
 	case 1:
-		e.appendLog(logRecord{T: recOngoing, Action: &acts[0]})
+		e.appendLog(logRecord{Kind: recOngoing, Actions: acts[:1]})
 	default:
-		e.appendLog(logRecord{T: recOngoingBatch, Actions: acts})
+		e.appendLog(logRecord{Kind: recOngoingBatch, Actions: acts})
 	}
 }
 

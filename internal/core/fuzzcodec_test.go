@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"evsdb/internal/types"
@@ -9,9 +8,8 @@ import (
 
 // FuzzDecodeEngineMsg exercises the engine-message envelope codec: any
 // byte string a faulty peer multicasts must decode cleanly or error —
-// never panic — valid messages must round-trip through the codec with
-// their kind and payload presence intact, and the binary codec must
-// agree with the retained JSON codec on every message it accepts.
+// never panic — and valid messages must round-trip through the codec with
+// their kind and payload presence intact.
 func FuzzDecodeEngineMsg(f *testing.F) {
 	f.Add(encodeEngineMsg(engineMsg{Kind: emAction, Action: &types.Action{
 		ID:        types.ActionID{Server: "s00", Index: 3},
@@ -91,43 +89,5 @@ func FuzzDecodeEngineMsg(f *testing.F) {
 			len(m.Batch) != len(again.Batch) {
 			t.Fatal("payload presence changed across round-trip")
 		}
-
-		// Cross-decode: the legacy JSON codec must accept the same message
-		// and agree on its contents. This pins the binary codec's semantics
-		// to the codec it replaced.
-		jm, err := decodeEngineMsgJSON(encodeEngineMsgJSON(m))
-		if err != nil {
-			t.Fatalf("JSON cross-decode failed: %v", err)
-		}
-		if jm.Kind != m.Kind {
-			t.Fatalf("JSON codec disagrees on kind: %v vs %v", m.Kind, jm.Kind)
-		}
-		if m.Action != nil {
-			requireSameAction(t, *m.Action, *jm.Action)
-		}
-		if len(m.Batch) > 0 {
-			if len(jm.Batch) != len(m.Batch) {
-				t.Fatalf("JSON codec disagrees on batch size: %d vs %d", len(m.Batch), len(jm.Batch))
-			}
-			for i := range m.Batch {
-				requireSameAction(t, m.Batch[i], jm.Batch[i])
-			}
-		}
-		if m.Retrans != nil {
-			requireSameAction(t, m.Retrans.Action, jm.Retrans.Action)
-			if jm.Retrans.Green != m.Retrans.Green || jm.Retrans.GreenSeq != m.Retrans.GreenSeq {
-				t.Fatal("JSON codec disagrees on retrans ordering fields")
-			}
-		}
 	})
-}
-
-// requireSameAction checks the fields both codecs carry for an action.
-func requireSameAction(t *testing.T, a, b types.Action) {
-	t.Helper()
-	if a.ID != b.ID || a.Type != b.Type || a.Semantics != b.Semantics ||
-		a.GreenLine != b.GreenLine || a.Client != b.Client || a.ClientSeq != b.ClientSeq ||
-		!bytes.Equal(a.Update, b.Update) || !bytes.Equal(a.Query, b.Query) {
-		t.Fatalf("codecs disagree on action contents:\n  bin:  %+v\n  json: %+v", a, b)
-	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"evsdb/internal/obs"
@@ -9,32 +8,33 @@ import (
 	"evsdb/internal/types"
 )
 
-// Log record types. The engine appends records continuously (page-cache
-// speed) and forces them at the paper's "** sync to disk" points plus
-// once per locally generated action.
+// recKind is a WAL record's kind (byte [2] of its frame, see codec.go).
+// The engine appends records continuously (page-cache speed) and forces
+// them at the paper's "** sync to disk" points plus once per locally
+// generated action.
+type recKind byte
+
 const (
-	recRed        = "red"        // an action entered the queue
-	recGreen      = "green"      // an action was promoted to green
-	recOngoing    = "ongoing"    // a locally generated action (paper ongoingQueue)
-	recState      = "state"      // engine metadata snapshot at a sync point
-	recCheckpoint = "checkpoint" // full base state (join bootstrap / compaction)
+	recRed        recKind = iota + 1 // an action entered the queue
+	recGreen                         // an action was promoted to green
+	recOngoing                       // a locally generated action (paper ongoingQueue)
+	recState                         // engine metadata snapshot at a sync point
+	recCheckpoint                    // full base state (join bootstrap / compaction)
 	// Batch records: several actions of one ActionBatch sharing a single
 	// append (and forced write). Replay expands them in stored order, so a
 	// batch record is exactly equivalent to its per-action records.
-	recRedBatch     = "redBatch"     // a delivered batch entered the queue
-	recGreenBatch   = "greenBatch"   // a fused run was promoted to green
-	recOngoingBatch = "ongoingBatch" // a locally created submission batch
+	recRedBatch     // a delivered batch entered the queue
+	recGreenBatch   // a fused run was promoted to green
+	recOngoingBatch // a locally created submission batch
 )
 
+// logRecord is the decoded form of one WAL record.
 type logRecord struct {
-	T        string           `json:"t"`
-	Action   *types.Action    `json:"action,omitempty"`
-	Actions  []types.Action   `json:"actions,omitempty"` // recRedBatch / recOngoingBatch
-	ID       *types.ActionID  `json:"id,omitempty"`
-	IDs      []types.ActionID `json:"ids,omitempty"` // recGreenBatch
-	GreenSeq uint64           `json:"greenSeq,omitempty"`
-	State    *persistState    `json:"state,omitempty"`
-	Snap     *JoinSnapshot    `json:"snap,omitempty"`
+	Kind    recKind
+	Actions []types.Action   // recRed / recOngoing (exactly one) and their batch kinds
+	IDs     []types.ActionID // recGreen (exactly one) and recGreenBatch
+	State   *persistState    // recState
+	Snap    *JoinSnapshot    // recCheckpoint
 }
 
 // persistState is the engine metadata written at sync points.
@@ -53,11 +53,12 @@ func (e *Engine) appendLog(rec logRecord) {
 	if e.replaying {
 		return
 	}
-	buf, err := json.Marshal(rec)
+	bp := encBufs.Get().(*[]byte)
+	buf := appendLogRecord((*bp)[:0], rec)
+	err := e.log.Append(buf)
+	*bp = buf[:0]
+	encBufs.Put(bp)
 	if err != nil {
-		panic(fmt.Sprintf("core: marshal log record: %v", err))
-	}
-	if err := e.log.Append(buf); err != nil {
 		e.ioFailed = true
 	}
 }
@@ -90,28 +91,25 @@ func (e *Engine) syncLog(point string) {
 }
 
 // persistState appends the metadata snapshot record.
-func (e *Engine) persistState() {
-	if e.replaying {
-		return
-	}
+func (e *Engine) persistState() { e.appendLog(e.stateRecord()) }
+
+// stateRecord builds the recState record of the engine's current
+// metadata. It shares the engine's maps: encode it before they change.
+func (e *Engine) stateRecord() logRecord {
 	servers := make([]types.ServerID, 0, len(e.serverSet))
 	for s := range e.serverSet {
 		servers = append(servers, s)
 	}
 	types.SortServerIDs(servers)
-	known := make(map[types.ServerID]uint64, len(e.greenKnown))
-	for s, v := range e.greenKnown {
-		known[s] = v
-	}
-	e.appendLog(logRecord{T: recState, State: &persistState{
+	return logRecord{Kind: recState, State: &persistState{
 		ActionIndex:  e.actionIndex,
 		AttemptIndex: e.attemptIndex,
 		Prim:         e.prim,
 		Vuln:         e.vuln,
 		Yellow:       e.yellow,
-		GreenKnown:   known,
+		GreenKnown:   e.greenKnown,
 		Servers:      servers,
-	}})
+	}}
 }
 
 // checkpoint compacts the log: the engine's full current state — a
@@ -122,40 +120,18 @@ func (e *Engine) checkpoint() error {
 	if !ok {
 		return fmt.Errorf("core: log does not support compaction")
 	}
-	snap := e.buildJoinSnapshot()
-	records := make([][]byte, 0, e.queue.redCount()+2)
-	mustMarshal := func(rec logRecord) []byte {
-		buf, err := json.Marshal(rec)
-		if err != nil {
-			panic(fmt.Sprintf("core: marshal checkpoint record: %v", err))
-		}
-		return buf
-	}
-	records = append(records, mustMarshal(logRecord{T: recCheckpoint, Snap: snap}))
+	records := make([][]byte, 0, e.queue.redCount()+len(e.ongoing)+2)
+	add := func(rec logRecord) { records = append(records, appendLogRecord(nil, rec)) }
+	add(logRecord{Kind: recCheckpoint, Snap: e.buildJoinSnapshot()})
 	for _, a := range e.queue.reds() {
-		a := a
-		records = append(records, mustMarshal(logRecord{T: recRed, Action: &a}))
+		add(logRecord{Kind: recRed, Actions: []types.Action{a}})
 	}
 	// Locally created actions that have not entered the queue yet must
 	// survive compaction: they may never have left this machine.
 	for _, a := range e.ongoing {
-		a := a
-		records = append(records, mustMarshal(logRecord{T: recOngoing, Action: &a}))
+		add(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 	}
-	servers := make([]types.ServerID, 0, len(e.serverSet))
-	for s := range e.serverSet {
-		servers = append(servers, s)
-	}
-	types.SortServerIDs(servers)
-	records = append(records, mustMarshal(logRecord{T: recState, State: &persistState{
-		ActionIndex:  e.actionIndex,
-		AttemptIndex: e.attemptIndex,
-		Prim:         e.prim,
-		Vuln:         e.vuln,
-		Yellow:       e.yellow,
-		GreenKnown:   e.greenKnown,
-		Servers:      servers,
-	}}))
+	add(e.stateRecord())
 	if err := compactable.Rewrite(records); err != nil {
 		e.ioFailed = true
 		return fmt.Errorf("compact log: %w", err)
@@ -179,53 +155,29 @@ func (e *Engine) recover() error {
 
 	ongoing := make(map[types.ActionID]types.Action)
 	for i, buf := range records {
-		var rec logRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
+		rec, err := decodeLogRecord(buf)
+		if err != nil {
 			return fmt.Errorf("decode log record %d: %w", i, err)
 		}
-		switch rec.T {
+		switch rec.Kind {
 		case recCheckpoint:
-			if rec.Snap != nil {
-				if err := e.restoreSnapshot(rec.Snap); err != nil {
-					return fmt.Errorf("record %d: %w", i, err)
-				}
+			if err := e.restoreSnapshot(rec.Snap); err != nil {
+				return fmt.Errorf("record %d: %w", i, err)
 			}
-		case recRed:
-			if rec.Action != nil {
-				a := *rec.Action
-				if e.markRed(a, false) {
-					e.replayTrackRed(a)
-				}
-			}
-		case recRedBatch:
+		case recRed, recRedBatch:
 			for _, a := range rec.Actions {
 				if e.markRed(a, false) {
 					e.replayTrackRed(a)
 				}
 			}
-		case recGreen:
-			if rec.ID != nil {
-				if a, ok := e.queue.get(*rec.ID); ok && !e.queue.isGreen(a.ID) {
-					e.applyGreen(a)
-				}
-			}
-		case recGreenBatch:
+		case recGreen, recGreenBatch:
 			for _, id := range rec.IDs {
-				if a, ok := e.queue.get(id); ok && !e.queue.isGreen(a.ID) {
+				if a, ok := e.queue.get(id); ok && !e.queue.isGreen(id) {
 					e.applyGreen(a)
 				}
 			}
-		case recOngoing:
-			if rec.Action != nil {
-				ongoing[rec.Action.ID] = *rec.Action
-				e.ongoing[rec.Action.ID] = *rec.Action
-				if rec.Action.ID.Index > e.actionIndex {
-					e.actionIndex = rec.Action.ID.Index
-				}
-			}
-		case recOngoingBatch:
-			for i := range rec.Actions {
-				a := rec.Actions[i]
+		case recOngoing, recOngoingBatch:
+			for _, a := range rec.Actions {
 				ongoing[a.ID] = a
 				e.ongoing[a.ID] = a
 				if a.ID.Index > e.actionIndex {
@@ -233,9 +185,7 @@ func (e *Engine) recover() error {
 				}
 			}
 		case recState:
-			if rec.State != nil {
-				e.restoreState(rec.State)
-			}
+			e.restoreState(rec.State)
 		}
 	}
 	// Ongoing actions that never reached the queue become red again; the

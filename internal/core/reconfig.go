@@ -119,7 +119,7 @@ func NewFromJoin(cfg Config, snap *JoinSnapshot) (*Engine, error) {
 		return nil, err
 	}
 	// Persist the bootstrap state so a crash during catch-up recovers.
-	e.appendLog(logRecord{T: recCheckpoint, Snap: snap})
+	e.appendLog(logRecord{Kind: recCheckpoint, Snap: snap})
 	e.persistState()
 	e.syncLog("join-bootstrap")
 	go e.run()
@@ -205,7 +205,7 @@ func (e *Engine) handleJoinRequest(req joinReq) {
 		}
 		a.GreenLine = e.queue.greenCount()
 		e.ongoing[a.ID] = a
-		e.appendLog(logRecord{T: recOngoing, Action: &a})
+		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 		e.syncLog("join")
 		e.joinWaiters[req.joiner] = append(e.joinWaiters[req.joiner], req.ch)
 		e.generate(a)
@@ -243,7 +243,7 @@ func (e *Engine) handleLeave(ch chan error) {
 		}
 		a.GreenLine = e.queue.greenCount()
 		e.ongoing[a.ID] = a
-		e.appendLog(logRecord{T: recOngoing, Action: &a})
+		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 		e.syncLog("leave")
 		e.generate(a)
 		ch <- nil

@@ -236,7 +236,7 @@ func (e *Engine) applyCatchUp(snap *JoinSnapshot) {
 			e.greenKnown[s] = v
 		}
 	}
-	e.appendLog(logRecord{T: recCheckpoint, Snap: snap})
+	e.appendLog(logRecord{Kind: recCheckpoint, Snap: snap})
 	e.appliedRed = make(map[types.ActionID]bool)
 	e.eagerApplied = make(map[string]bool)
 	for _, a := range keep {
@@ -518,7 +518,7 @@ func (e *Engine) markRed(a types.Action, track bool) bool {
 	}
 	e.redCut[a.ID.Server] = a.ID.Index
 	e.queue.appendRed(a)
-	e.appendLog(logRecord{T: recRed, Action: &a})
+	e.appendLog(logRecord{Kind: recRed, Actions: []types.Action{a}})
 	if a.ID.Server == e.id {
 		// Generated here: the action entered the queue, so the ongoing
 		// copy has served its purpose (paper A.14 deletes it).
@@ -551,9 +551,9 @@ func (e *Engine) markRedBatch(acts []types.Action, track bool) []types.Action {
 	switch len(accepted) {
 	case 0:
 	case 1:
-		e.appendLog(logRecord{T: recRed, Action: &accepted[0]})
+		e.appendLog(logRecord{Kind: recRed, Actions: accepted[:1]})
 	default:
-		e.appendLog(logRecord{T: recRedBatch, Actions: accepted})
+		e.appendLog(logRecord{Kind: recRedBatch, Actions: accepted})
 	}
 	if track {
 		for _, a := range accepted {
@@ -659,7 +659,7 @@ func (e *Engine) applyGreen(a types.Action) {
 		return
 	}
 	e.om.applied.Inc()
-	e.appendLog(logRecord{T: recGreen, ID: &a.ID, GreenSeq: seq})
+	e.appendLog(logRecord{Kind: recGreen, IDs: []types.ActionID{a.ID}})
 	e.histMu.Lock()
 	e.history = append(e.history, a.ID)
 	e.histMu.Unlock()
@@ -822,9 +822,9 @@ func (e *Engine) applyGreenRun(run []types.Action) {
 	run, seqs, updates, ids = run[:n], seqs[:n], updates[:n], ids[:n]
 	e.om.applied.Add(uint64(n))
 	if n == 1 {
-		e.appendLog(logRecord{T: recGreen, ID: &ids[0], GreenSeq: seqs[0]})
+		e.appendLog(logRecord{Kind: recGreen, IDs: ids})
 	} else {
-		e.appendLog(logRecord{T: recGreenBatch, IDs: ids})
+		e.appendLog(logRecord{Kind: recGreenBatch, IDs: ids})
 	}
 	e.histMu.Lock()
 	e.history = append(e.history, ids...)

@@ -507,7 +507,7 @@ func TestRecoveryRestoresGreensAndOngoing(t *testing.T) {
 	// multicast reached anyone): recovery must re-mark it red.
 	orphan := types.Action{ID: types.ActionID{Server: "a", Index: 4}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Add("n", 10))}
-	e.appendLog(logRecord{T: recOngoing, Action: &orphan})
+	e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{orphan}})
 	e.syncLog("test")
 
 	// Recover into a fresh engine on the same (surviving) log.

@@ -51,12 +51,13 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution. Observe is allocation-free:
-// a linear scan over the (small) bound slice, one atomic bucket add, one
-// atomic count add and a CAS loop folding the value into the float64 sum.
+// a linear scan over the (small) bound slice, one atomic bucket add and a
+// CAS loop folding the value into the float64 sum. There is no separate
+// observation counter: the count is the sum of the buckets, so a scrape
+// taken under load cannot show a +Inf bucket and a _count that disagree.
 type Histogram struct {
 	bounds  []float64 // upper bounds, ascending; +Inf bucket is implicit
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Uint64 // float64 bit pattern
 }
 
@@ -67,7 +68,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -80,8 +80,14 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations (the sum of all buckets).
+func (h *Histogram) Count() uint64 {
+	n := uint64(0)
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -285,7 +291,7 @@ func writeHistogram(b *strings.Builder, name string, s *series) {
 	cum += h.buckets[len(h.bounds)].Load()
 	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labelPrefix(s.labels), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, braced(s.labels), formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, braced(s.labels), h.Count())
+	fmt.Fprintf(b, "%s_count%s %d\n", name, braced(s.labels), cum)
 }
 
 func labelPrefix(labels string) string {

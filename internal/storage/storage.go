@@ -54,7 +54,10 @@ func (p SyncPolicy) String() string {
 
 // Log is an append-only record log with an explicit sync barrier.
 type Log interface {
-	// Append adds one opaque record to the log tail.
+	// Append adds one opaque record to the log tail. Implementations must
+	// not retain record: they copy it or fully consume it before
+	// returning, because the engine encodes into a pooled buffer that it
+	// reuses as soon as Append returns.
 	Append(record []byte) error
 	// Sync makes all appended records durable, per the sync policy.
 	Sync() error
