@@ -71,7 +71,6 @@ func run() error {
 		maxInFlight  = flag.Int("max-inflight", 0, "admission budget for strict requests (0: default, -1: unlimited)")
 		httpTimeout  = flag.Duration("http-timeout", 0, "server-side deadline per client request (0: default)")
 		maxBatch     = flag.Int("max-batch", 0, "max actions coalesced into one multicast bundle (0: default, 1: disable batching)")
-		batchDelay   = flag.Duration("batch-delay", 0, "how long a submission waits for bundle companions (0: default, <0: no wait)")
 		adminAddr    = flag.String("admin-addr", "", "serve /metrics, /debug/events and /debug/pprof on this address (empty: disabled)")
 		applyWorkers = flag.Int("apply-workers", 0, "parallel green-apply worker pool width (0: min(GOMAXPROCS,8), 1: sequential)")
 		logLevel     = flag.String("log-level", "info", "log threshold: debug|info|warn|error")
@@ -144,7 +143,6 @@ func run() error {
 		Recover:         *recover,
 		MaxInFlight:     *maxInFlight,
 		MaxBatchActions: *maxBatch,
-		MaxBatchDelay:   *batchDelay,
 		Obs:             ob,
 		ApplyWorkers:    *applyWorkers,
 	})

@@ -75,9 +75,6 @@ type Config struct {
 	// core.Config.MaxBatchActions): 0 keeps the engine default, 1
 	// disables batching (the pre-batching pipeline).
 	MaxBatch int
-	// BatchDelay sets the engines' batch collection window (see
-	// core.Config.MaxBatchDelay).
-	BatchDelay time.Duration
 	// CaptureMetrics renders replica 0's metrics registry (Prometheus
 	// text) into Result.Metrics after the run, before teardown. Engine
 	// systems only; the baselines are not instrumented.
@@ -279,7 +276,6 @@ func buildSystem(cfg Config) ([]submitter, []*core.Engine, func(), error) {
 			cluster.WithSyncLatency(cfg.SyncLatency),
 			cluster.WithEVSTick(cfg.EVSTick),
 			cluster.WithMaxBatch(cfg.MaxBatch),
-			cluster.WithBatchDelay(cfg.BatchDelay),
 		)
 		if err != nil {
 			return nil, nil, nil, err

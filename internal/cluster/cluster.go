@@ -55,12 +55,6 @@ func WithMaxBatch(n int) Option {
 	return func(c *Cluster) { c.maxBatch = n }
 }
 
-// WithBatchDelay sets the engines' batch collection window (see
-// core.Config.MaxBatchDelay).
-func WithBatchDelay(d time.Duration) Option {
-	return func(c *Cluster) { c.batchDelay = d }
-}
-
 // WithApplyWorkers sets each replica database's parallel green-apply
 // width (see core.Config.ApplyWorkers).
 func WithApplyWorkers(n int) Option {
@@ -103,13 +97,12 @@ type Replica struct {
 type Cluster struct {
 	Net *memnet.Network
 
-	logOpts    storage.Options
-	evsTick    time.Duration
-	netOpts    []memnet.Option
-	quorum     quorum.System
-	maxBatch   int
-	batchDelay time.Duration
-	crashHook  func(id types.ServerID, point string) bool
+	logOpts   storage.Options
+	evsTick   time.Duration
+	netOpts   []memnet.Option
+	quorum    quorum.System
+	maxBatch  int
+	crashHook func(id types.ServerID, point string) bool
 
 	applyWorkers int
 	applyOracle  bool
@@ -180,7 +173,6 @@ func (c *Cluster) start(id types.ServerID, snap *core.JoinSnapshot, recovering b
 		Quorum:          c.quorum,
 		Recover:         recovering,
 		MaxBatchActions: c.maxBatch,
-		MaxBatchDelay:   c.batchDelay,
 		Obs:             ob,
 		ApplyWorkers:    c.applyWorkers,
 	}

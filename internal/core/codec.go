@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,7 +11,13 @@ import (
 	"evsdb/internal/types"
 )
 
-// One framed codec serves the wire and the WAL, version 1 of each.
+// One framed codec serves the wire and the WAL, version 2 of each.
+// Version 2 has version 1's layout; what changed is the meaning of the
+// Update and Query bytes inside every action, which moved from JSON to
+// the binary db payload codec (internal/db/codec.go). A version 1 log is
+// refused at recovery and a version 1 peer's frames are dropped as
+// foreign, both with ErrCodecVersion, rather than replayed or applied as
+// aborts.
 //
 // Every engine message and every log record starts with a three-byte
 // header:
@@ -32,10 +39,14 @@ import (
 // flexibility matters more than its cost.
 const (
 	engineMagic   = 0xEC
-	engineCodecV1 = 1
+	engineCodecV2 = 2
 	walMagic      = 0xE7
-	walCodecV1    = 1
+	walCodecV2    = 2
 )
+
+// ErrCodecVersion marks an engine frame or WAL record written by another
+// codec version.
+var ErrCodecVersion = errors.New("codec version mismatch")
 
 // encBufs pools encode buffers for the multicast and log-append hot
 // paths. Safe because every GroupCom and storage.Log implementation
@@ -213,7 +224,7 @@ func appendJSON(buf []byte, v any) []byte {
 
 // appendEngineMsg appends the full framed encoding of m to buf.
 func appendEngineMsg(buf []byte, m engineMsg) []byte {
-	buf = append(buf, engineMagic, engineCodecV1, byte(m.Kind))
+	buf = append(buf, engineMagic, engineCodecV2, byte(m.Kind))
 	switch m.Kind {
 	case emAction:
 		return appendAction(buf, *m.Action)
@@ -252,14 +263,14 @@ func frameBody(buf []byte, magic, version byte, what string) (byte, []byte, erro
 		// Loud, specific failure: a mixed-version cluster, or a log written
 		// by another codec version, must surface the incompatibility
 		// instead of being mis-parsed.
-		return 0, nil, fmt.Errorf("core: %s codec version mismatch: frame v%d, this node speaks v%d",
-			what, buf[1], version)
+		return 0, nil, fmt.Errorf("core: %s %w: frame v%d, this node speaks v%d",
+			what, ErrCodecVersion, buf[1], version)
 	}
 	return buf[2], buf[3:], nil
 }
 
 func decodeEngineMsg(buf []byte) (engineMsg, error) {
-	k, rest, err := frameBody(buf, engineMagic, engineCodecV1, "engine frame")
+	k, rest, err := frameBody(buf, engineMagic, engineCodecV2, "engine frame")
 	if err != nil {
 		return engineMsg{}, err
 	}
@@ -305,7 +316,7 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 // appendLogRecord appends the full framed encoding of one WAL record.
 // Single-action kinds carry exactly one element in Actions / IDs.
 func appendLogRecord(buf []byte, rec logRecord) []byte {
-	buf = append(buf, walMagic, walCodecV1, byte(rec.Kind))
+	buf = append(buf, walMagic, walCodecV2, byte(rec.Kind))
 	switch rec.Kind {
 	case recRed, recOngoing:
 		return appendAction(buf, rec.Actions[0])
@@ -329,7 +340,7 @@ func appendLogRecord(buf []byte, rec logRecord) []byte {
 }
 
 func decodeLogRecord(buf []byte) (logRecord, error) {
-	k, rest, err := frameBody(buf, walMagic, walCodecV1, "WAL record")
+	k, rest, err := frameBody(buf, walMagic, walCodecV2, "WAL record")
 	if err != nil {
 		return logRecord{}, err
 	}

@@ -296,7 +296,10 @@ func (e *Engine) computeKnowledge() {
 
 	// 3. Invalidate vulnerability that is provably moot: the server is
 	// outside the newest primary's membership, or some member of its
-	// attempt set reports a non-identical vulnerable record.
+	// attempt set reports a non-identical vulnerable record. A record
+	// cleared here can make another record moot, and the rule only ever
+	// clears, so it runs to a fixpoint: every map order reaches the same
+	// one.
 	vulnMap := make(map[types.ServerID]Vulnerable, len(e.stateMsgs))
 	for id, s := range e.stateMsgs {
 		v := s.Vuln
@@ -311,24 +314,24 @@ func (e *Engine) computeKnowledge() {
 	for _, s := range e.prim.Servers {
 		primSet[s] = true
 	}
-	for id, v := range vulnMap {
-		if !v.Status {
-			continue
-		}
-		if !primSet[id] {
-			v.Status = false
-			vulnMap[id] = v
-			continue
-		}
-		for _, q := range v.Set {
-			qv, ok := vulnMap[q]
-			if !ok {
-				continue // q did not report; cannot conclude anything
+	for changed := true; changed; {
+		changed = false
+		for id, v := range vulnMap {
+			if !v.Status {
+				continue
 			}
-			if !qv.Status || !qv.sameAttempt(v) {
+			moot := !primSet[id]
+			for _, q := range v.Set {
+				// A q that did not report proves nothing.
+				if qv, ok := vulnMap[q]; ok && (!qv.Status || !qv.sameAttempt(v)) {
+					moot = true
+					break
+				}
+			}
+			if moot {
 				v.Status = false
 				vulnMap[id] = v
-				break
+				changed = true
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"evsdb/internal/db"
 	"evsdb/internal/types"
 )
 
@@ -16,7 +17,7 @@ func FuzzDecodeEngineMsg(f *testing.F) {
 		Type:      types.ActionUpdate,
 		Semantics: types.SemStrict,
 		GreenLine: 7,
-		Update:    []byte(`{"ops":[{"kind":"set","key":"a","value":"1"}]}`),
+		Update:    db.EncodeUpdate(db.Set("a", "1")),
 	}}))
 	f.Add(encodeEngineMsg(engineMsg{Kind: emState, State: &stateMsg{
 		Server: "s01", Conf: types.ConfID{Counter: 4, Proposer: "s00"}, Round: 1,

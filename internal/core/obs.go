@@ -37,7 +37,6 @@ type coreObs struct {
 	exchDur   *obs.Histogram
 
 	flushFull  *obs.Counter
-	flushTimer *obs.Counter
 	flushDrain *obs.Counter
 
 	walSync map[string]*obs.Counter
@@ -60,11 +59,10 @@ func newCoreObs(r *obs.Registry) *coreObs {
 		retransmitted: r.Counter("evsdb_actions_retransmitted_total", "Actions re-sent during state exchanges."),
 		duplicates:    r.Counter("evsdb_dedup_hits_total", "Keyed submissions answered from the dedup table or an in-flight action."),
 		overloads:     r.Counter("evsdb_admission_rejects_total", "Submissions refused because the in-flight budget was exhausted."),
-		batchSize:     r.Histogram("evsdb_batch_actions", "Actions per flushed submit batch.", obs.SizeBuckets),
+		batchSize:     r.Histogram("evsdb_batch_actions", "Locally created actions per multicast after their sync.", obs.SizeBuckets),
 		exchDur:       r.Histogram("evsdb_exchange_round_seconds", "State-exchange round duration, ExchangeStates entry to quorum decision.", nil),
-		flushFull:     r.Counter("evsdb_batch_flush_total", "Submit-batch flushes by reason.", obs.L("reason", "full")),
-		flushTimer:    r.Counter("evsdb_batch_flush_total", "Submit-batch flushes by reason.", obs.L("reason", "timer")),
-		flushDrain:    r.Counter("evsdb_batch_flush_total", "Submit-batch flushes by reason.", obs.L("reason", "drain")),
+		flushFull:     r.Counter("evsdb_batch_flush_total", "Multicasts of synced actions by reason: full (MaxBatchActions) or drain (all that one sync covered).", obs.L("reason", "full")),
+		flushDrain:    r.Counter("evsdb_batch_flush_total", "Multicasts of synced actions by reason: full (MaxBatchActions) or drain (all that one sync covered).", obs.L("reason", "drain")),
 		walSync:       make(map[string]*obs.Counter),
 		gState:        r.Gauge("evsdb_engine_state", "Engine state-machine state (1=NonPrim ... 8=Un, paper Fig. 4)."),
 		gGreen:        r.Gauge("evsdb_actions_green", "Actions in the globally agreed green order."),

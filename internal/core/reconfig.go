@@ -208,7 +208,7 @@ func (e *Engine) handleJoinRequest(req joinReq) {
 		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 		e.syncLog("join")
 		e.joinWaiters[req.joiner] = append(e.joinWaiters[req.joiner], req.ch)
-		e.generate(a)
+		e.generateSynced(a)
 	default:
 		e.pendingJoins = append(e.pendingJoins, req)
 	}
@@ -245,7 +245,7 @@ func (e *Engine) handleLeave(ch chan error) {
 		e.ongoing[a.ID] = a
 		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
 		e.syncLog("leave")
-		e.generate(a)
+		e.generateSynced(a)
 		ch <- nil
 	default:
 		ch <- fmt.Errorf("core: cannot leave during %v; retry", e.st)

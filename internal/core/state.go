@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"evsdb/internal/obs"
@@ -460,18 +461,26 @@ func (e *Engine) flushLiveBuf() {
 // delivery). The ongoing queue exists precisely so such actions are
 // never lost (paper A.14); without re-sending them, the client's action
 // would sit in limbo until this server next recovers from its log.
+// Actions still waiting in the generate queue were never multicast and
+// may not be durable yet: they are left to their flush, which — holding
+// the same lock — cannot overtake the older actions re-sent here.
 func (e *Engine) regenerateOngoing() {
+	e.gen.mu.Lock()
+	defer e.gen.mu.Unlock()
+	stop := uint64(math.MaxUint64)
+	if len(e.gen.acts) > 0 {
+		stop = e.gen.acts[0].ID.Index
+	}
 	var acts []types.Action
-	for idx := e.redCut[e.id] + 1; ; idx++ {
+	for idx := e.redCut[e.id] + 1; idx < stop; idx++ {
 		a, ok := e.ongoing[types.ActionID{Server: e.id, Index: idx}]
 		if !ok {
 			break
 		}
 		acts = append(acts, a)
 	}
-	max := max(e.maxBatch, 1)
 	for len(acts) > 0 {
-		n := min(max, len(acts))
+		n := min(e.maxBatch, len(acts))
 		e.generateBatch(acts[:n])
 		acts = acts[n:]
 	}

@@ -1,10 +1,5 @@
 package db
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // This file implements decode-time dependency analysis for the parallel
 // green applier (DESIGN.md § 10). Every encoded update is decoded once
 // and classified; the classification and the extracted read/write key
@@ -67,16 +62,16 @@ type analyzed struct {
 // The op-kind switch below must stay in lockstep with applyOps and
 // evalOps; keysetvet_test.go enforces that mechanically.
 func analyzeUpdate(update []byte) *analyzed {
-	var u Update
-	if err := json.Unmarshal(update, &u); err != nil {
-		// Keep the exact error shape of the sequential path
-		// (applyUpdate) so the determinism oracle sees identical abort
-		// messages from both appliers.
-		return &analyzed{decErr: fmt.Errorf("decode update: %w", err)}
+	ops, err := decodeUpdate(update)
+	if err != nil {
+		// The sequential path (applyUpdate) shares this decoder, so the
+		// determinism oracle sees identical abort messages from both
+		// appliers.
+		return &analyzed{decErr: err}
 	}
-	an := &analyzed{ops: u.Ops}
+	an := &analyzed{ops: ops}
 	allAdd, allTS, any := true, true, false
-	for _, op := range u.Ops {
+	for _, op := range ops {
 		switch op.Kind {
 		case "noop":
 			// No keys, no effect; does not influence the class.

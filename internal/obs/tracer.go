@@ -26,9 +26,6 @@ const (
 	// EvExchangeEnd: retransmission finished. A=round number, B=1 if a
 	// quorum was present (→ Construct), 0 otherwise (→ NonPrim).
 	EvExchangeEnd
-	// EvBatchFlush: a submit batch was flushed. A=actions in batch,
-	// B=reason (FlushFull/FlushTimer/FlushDrain).
-	EvBatchFlush
 	// EvAdmissionReject: a submission was rejected by admission control.
 	// A=in-flight count at rejection.
 	EvAdmissionReject
@@ -47,13 +44,6 @@ const (
 	// EvCatchUp: engine adopted a peer snapshot wholesale. A=green count
 	// after catch-up.
 	EvCatchUp
-)
-
-// Batch flush reasons (EvBatchFlush.B).
-const (
-	FlushFull  = 1 // batch hit MaxBatchActions
-	FlushTimer = 2 // MaxBatchDelay expired
-	FlushDrain = 3 // opportunistic drain emptied the queue
 )
 
 // SyncPoint enumerates the engine's WAL barrier points (EvWALSync.A).
@@ -120,8 +110,6 @@ func (k Kind) String() string {
 		return "exchange-start"
 	case EvExchangeEnd:
 		return "exchange-end"
-	case EvBatchFlush:
-		return "batch-flush"
 	case EvAdmissionReject:
 		return "admission-reject"
 	case EvWALSync:
@@ -171,15 +159,6 @@ func (e Event) String() string {
 			outcome = "quorum"
 		}
 		return fmt.Sprintf("%s #%-5d exch-end   round=%d %s", ts, e.Seq, e.A, outcome)
-	case EvBatchFlush:
-		reason := "drain"
-		switch e.B {
-		case FlushFull:
-			reason = "full"
-		case FlushTimer:
-			reason = "timer"
-		}
-		return fmt.Sprintf("%s #%-5d batch      n=%d reason=%s", ts, e.Seq, e.A, reason)
 	case EvAdmissionReject:
 		return fmt.Sprintf("%s #%-5d admission-reject inflight=%d", ts, e.Seq, e.A)
 	case EvWALSync:

@@ -29,7 +29,7 @@ func TestTracerRecordsInOrder(t *testing.T) {
 func TestTracerWraps(t *testing.T) {
 	tr := NewTracer(16)
 	for i := 0; i < 100; i++ {
-		tr.Record(EvBatchFlush, uint64(i), FlushTimer, 0)
+		tr.Record(EvAdmissionReject, uint64(i), 0, 0)
 	}
 	evs := tr.Events(1000)
 	if len(evs) != 16 {
@@ -111,7 +111,6 @@ func TestEventStrings(t *testing.T) {
 		{Event{Kind: EvConfTrans, A: 1, B: 3}, "conf-trans"},
 		{Event{Kind: EvExchangeStart, A: 4}, "exch-start"},
 		{Event{Kind: EvExchangeEnd, A: 4, B: 1}, "quorum"},
-		{Event{Kind: EvBatchFlush, A: 9, B: FlushFull}, "reason=full"},
 		{Event{Kind: EvAdmissionReject, A: 12}, "admission"},
 		{Event{Kind: EvWALSync, A: uint64(SyncConstruct)}, "construct"},
 		{Event{Kind: EvDedupHit, A: 2}, "inflight"},
