@@ -310,20 +310,29 @@ func (n *Node) Close() {
 }
 
 // pumpEvents moves queued events to the outward channel without ever
-// blocking the protocol loop.
+// blocking the protocol loop. Once the node is closed it drops every
+// remaining event, so Close never blocks on a reader that has gone. What
+// a reader still receives after Close is therefore a prefix of the event
+// stream: it must never see an event whose predecessor was dropped — say,
+// a delivery inside a transitional configuration without the
+// transitional configuration itself, which it would take for a delivery
+// in the regular one.
 func (n *Node) pumpEvents() {
 	defer close(n.pumpDone)
 	defer close(n.eventsCh)
+	closed := false
 	for {
 		ev, ok := n.events.Pop()
 		if !ok {
 			return
 		}
+		if closed {
+			continue
+		}
 		select {
 		case n.eventsCh <- ev:
 		case <-n.stop:
-			// Drain remaining events to nowhere so Close never blocks.
-			continue
+			closed = true
 		}
 	}
 }

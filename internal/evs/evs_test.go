@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"evsdb/internal/queue"
+	"evsdb/internal/transport"
 	"evsdb/internal/transport/memnet"
 	"evsdb/internal/types"
 )
@@ -43,11 +45,21 @@ func serverID(i int) types.ServerID {
 
 func (h *harness) add(id types.ServerID) *Node {
 	h.t.Helper()
+	return h.start(id, h.attach(id))
+}
+
+func (h *harness) attach(id types.ServerID) *memnet.Endpoint {
+	h.t.Helper()
 	ep, err := h.net.Attach(id)
 	if err != nil {
 		h.t.Fatalf("attach %s: %v", id, err)
 	}
-	node := NewNode(ep, WithTick(200*time.Microsecond))
+	return ep
+}
+
+// start runs a node on the given endpoint and records its events.
+func (h *harness) start(id types.ServerID, tr transport.Node) *Node {
+	node := NewNode(tr, WithTick(200*time.Microsecond))
 	h.nodes[id] = node
 	h.wg.Add(1)
 	go func() {
@@ -442,4 +454,37 @@ func contains(ss []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// TestEventsAfterCloseArePrefix: a reader that keeps reading after Close
+// receives a prefix of the event stream. Dropping events one at a time
+// once closed (a random choice between the send and the stop case) let
+// the engine see a delivery inside a transitional configuration without
+// the transitional configuration, and mark it green.
+func TestEventsAfterCloseArePrefix(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		n := &Node{
+			events:   queue.NewUnbounded[Event](),
+			eventsCh: make(chan Event),
+			stop:     make(chan struct{}),
+			pumpDone: make(chan struct{}),
+		}
+		go n.pumpEvents()
+		n.emit(Delivery{Payload: []byte{0}})
+		if ev := <-n.eventsCh; ev.(Delivery).Payload[0] != 0 {
+			t.Fatalf("first event %v", ev)
+		}
+		close(n.stop)
+		for i := 1; i < 50; i++ {
+			n.emit(Delivery{Payload: []byte{byte(i)}})
+		}
+		n.events.Close()
+		next := 1
+		for ev := range n.eventsCh {
+			if got := int(ev.(Delivery).Payload[0]); got != next {
+				t.Fatalf("round %d: event %d delivered after Close where %d was due", round, got, next)
+			}
+			next++
+		}
+	}
 }

@@ -45,8 +45,36 @@ func (n *Node) handleWire(msg transport.Message) {
 	}
 }
 
+// current reports whether id is this node's configuration. Traffic of
+// any other configuration is dropped, after noteConf has looked at it.
+func (n *Node) current(id types.ConfID) bool {
+	if n.conf != nil && id == n.conf.id {
+		return true
+	}
+	n.noteConf(id)
+	return false
+}
+
+// noteConf reacts, while gathering, to traffic of a configuration newer
+// than any this node took part in. Peers send it only to that
+// configuration's members, so they count this node as one; yet it never
+// installed it. It restarted after the install, and the peers' failure
+// detectors missed both the crash and the restart (one coalesced
+// reachability signal can cover both). Its proposals still carry the
+// counter it restarted with, which the peers take for late duplicates of
+// the gather that formed their configuration (handlePropose), so no new
+// one would ever start. Adopting the counter makes its next proposal one
+// they must answer.
+func (n *Node) noteConf(id types.ConfID) {
+	if n.phase != phaseGather || id.Counter <= n.maxCounter {
+		return
+	}
+	n.maxCounter = id.Counter
+	n.propose(n.myProposal)
+}
+
 func (n *Node) handleData(d *dataMsg) {
-	if d == nil || n.conf == nil || d.Conf != n.conf.id {
+	if d == nil || !n.current(d.Conf) {
 		return
 	}
 	if !n.conf.storeData(d) {
@@ -70,14 +98,14 @@ func (n *Node) deliverFifo(s types.ServerID) {
 }
 
 func (n *Node) handleOrder(o *orderMsg) {
-	if o == nil || n.conf == nil || o.Conf != n.conf.id {
+	if o == nil || !n.current(o.Conf) {
 		return
 	}
 	n.conf.storeOrder(o.Entries)
 }
 
 func (n *Node) handleAck(from types.ServerID, a *ackMsg) {
-	if a == nil || n.conf == nil || a.Conf != n.conf.id {
+	if a == nil || !n.current(a.Conf) {
 		return
 	}
 	if a.UpTo > n.conf.acks[from] {
@@ -89,7 +117,7 @@ func (n *Node) handleAck(from types.ServerID, a *ackMsg) {
 }
 
 func (n *Node) handleStable(s *stableMsg) {
-	if s == nil || n.conf == nil || s.Conf != n.conf.id {
+	if s == nil || !n.current(s.Conf) {
 		return
 	}
 	if s.UpTo > n.conf.stableCut {
@@ -105,7 +133,7 @@ func (n *Node) handleStable(s *stableMsg) {
 // handleNack answers retransmission requests: data from this node's own
 // stream, order entries if this node is the sequencer.
 func (n *Node) handleNack(from types.ServerID, nk *nackMsg) {
-	if nk == nil || n.conf == nil || nk.Conf != n.conf.id {
+	if nk == nil || !n.current(nk.Conf) {
 		return
 	}
 	n.om.nackRx.Inc()

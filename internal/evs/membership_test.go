@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"evsdb/internal/transport/memnet"
 	"evsdb/internal/types"
 )
 
@@ -188,4 +189,43 @@ func TestSafeDeliveryGuarantee(t *testing.T) {
 			h.close()
 		}()
 	}
+}
+
+// blindFD is an endpoint whose failure detector never changes its mind:
+// the listed nodes always look reachable, and no change is ever signalled.
+type blindFD struct {
+	*memnet.Endpoint
+	all []types.ServerID
+}
+
+func (b blindFD) Reachable() []types.ServerID { return b.all }
+func (b blindFD) Changes() <-chan struct{}    { return nil }
+
+// TestRestartUnseenByPeers: a member crashes and restarts so quickly that
+// the others' failure detectors never report it gone. They stay in the
+// configuration that counts it as a member, while the restarted node,
+// with no memory of that configuration, gathers from counter 0 with the
+// same member set. All of them must still reach a new configuration
+// together.
+func TestRestartUnseenByPeers(t *testing.T) {
+	h := newHarness(t, 0)
+	all := []types.ServerID{serverID(0), serverID(1), serverID(2)}
+	h.start(all[0], h.attach(all[0]))
+	for _, id := range all[1:] {
+		h.start(id, blindFD{Endpoint: h.attach(id), all: all})
+	}
+	h.waitView(all, all)
+	before, _ := lastRegular(h.events(all[1]))
+
+	h.crash(all[0])
+	h.add(all[0])
+	waitFor(t, 10*time.Second, "a configuration after the restart at every node", func() bool {
+		for _, id := range all {
+			c, ok := lastRegular(h.events(id))
+			if !ok || c.ID.Counter <= before.ID.Counter || !types.EqualMembers(c.Members, all) {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"evsdb/internal/cluster"
+	"evsdb/internal/db"
 	"evsdb/internal/storage"
 	"evsdb/internal/types"
 )
@@ -96,10 +97,27 @@ func TestOverloadAnswers503AndDegradedReadsSurvive(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("seed write: %d", code)
 	}
+	// The reply says the write is green at ids[0]; the replica isolated
+	// below may not have applied it yet, and once cut off it only holds
+	// the write as non-green, which weak reads do not see.
+	iso := ids[2]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := c.Replica(iso).DB.QueryGreen(db.Get("seeded"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Found {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("seed write never turned green at the replica to isolate")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Isolate the last replica: it drops to NonPrim, where strict writes
 	// stall until the partition heals.
-	iso := ids[2]
 	c.Partition([]types.ServerID{ids[0], ids[1]}, []types.ServerID{iso})
 	if err := c.WaitNonPrim(10*time.Second, iso); err != nil {
 		t.Fatal(err)
@@ -116,7 +134,7 @@ func TestOverloadAnswers503AndDegradedReadsSurvive(t *testing.T) {
 		code, _ := postJSON(t, srv.Client(), srv.URL+"/set?key=k&value=v", nil)
 		stalled <- code
 	}()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for {
 		resp, err := srv.Client().Get(srv.URL + "/status")
 		if err != nil {
