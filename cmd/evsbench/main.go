@@ -4,7 +4,6 @@
 //	evsbench -exp fig5b     # engine forced vs delayed writes
 //	evsbench -exp latency   # single-client average latency, three systems
 //	evsbench -exp batching  # action batching off vs on, plus codec allocs
-//	evsbench -exp parallel-apply  # dependency-aware parallel green apply scaling
 //	evsbench -exp all       # everything
 //
 // The -sync flag sets the simulated forced-write latency (the knob that
@@ -40,14 +39,12 @@ func main() {
 
 func run() error {
 	var (
-		exp         = flag.String("exp", "all", "experiment: fig5a, fig5b, latency, batching, parallel-apply, all")
+		exp         = flag.String("exp", "all", "experiment: fig5a, fig5b, latency, batching, all")
 		replicas    = flag.Int("replicas", 14, "number of replicas (paper: 14)")
 		actions     = flag.Int("actions", 100, "actions per client per data point")
 		syncLat     = flag.Duration("sync", 2*time.Millisecond, "simulated forced-write latency")
 		clients     = flag.String("clients", "1,2,4,7,10,14", "client counts for throughput curves")
-		batches     = flag.Int("batches", 200, "batches per parallel-apply data point")
-		batchSize   = flag.Int("batch-size", 64, "actions per batch in the parallel-apply experiment")
-		jsonPath    = flag.String("json", "", "write batching or parallel-apply results to this JSON file (e.g. BENCH_batching.json)")
+		jsonPath    = flag.String("json", "", "write batching results to this JSON file (e.g. BENCH_batching.json)")
 		metricsPath = flag.String("metrics", "", "write replica 0's final /metrics exposition from the batching experiment to this file (validated against the in-repo parser)")
 	)
 	flag.Parse()
@@ -72,8 +69,6 @@ func run() error {
 		return costModel(*replicas, *actions, *syncLat)
 	case "batching":
 		return batching(*replicas, clientCounts, *actions, *syncLat, *jsonPath, *metricsPath)
-	case "parallel-apply":
-		return parallelApply(*batches, *batchSize, *jsonPath)
 	case "all":
 		if err := fig5a(*replicas, clientCounts, *actions, *syncLat); err != nil {
 			return err
@@ -87,12 +82,7 @@ func run() error {
 		if err := costModel(*replicas, *actions, *syncLat); err != nil {
 			return err
 		}
-		if err := batching(*replicas, clientCounts, *actions, *syncLat, *jsonPath, *metricsPath); err != nil {
-			return err
-		}
-		// -json is consumed by the batching run above; the parallel-apply
-		// artifact is only written when the experiment runs on its own.
-		return parallelApply(*batches, *batchSize, "")
+		return batching(*replicas, clientCounts, *actions, *syncLat, *jsonPath, *metricsPath)
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}

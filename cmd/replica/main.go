@@ -61,19 +61,18 @@ func main() {
 
 func run() error {
 	var (
-		id           = flag.String("id", "", "server id (required)")
-		listen       = flag.String("listen", "127.0.0.1:7001", "replication listen address")
-		peerSpec     = flag.String("peers", "", "comma-separated id=addr peer list")
-		httpAddr     = flag.String("http", "127.0.0.1:8001", "client HTTP address")
-		walPath      = flag.String("wal", "", "write-ahead log path (default <id>.wal)")
-		recover      = flag.Bool("recover", false, "replay the WAL before starting")
-		delayed      = flag.Bool("delayed-writes", false, "use delayed (asynchronous) disk writes")
-		maxInFlight  = flag.Int("max-inflight", 0, "admission budget for strict requests (0: default, -1: unlimited)")
-		httpTimeout  = flag.Duration("http-timeout", 0, "server-side deadline per client request (0: default)")
-		maxBatch     = flag.Int("max-batch", 0, "max actions coalesced into one multicast bundle (0: default, 1: disable batching)")
-		adminAddr    = flag.String("admin-addr", "", "serve /metrics, /debug/events and /debug/pprof on this address (empty: disabled)")
-		applyWorkers = flag.Int("apply-workers", 0, "parallel green-apply worker pool width (0: min(GOMAXPROCS,8), 1: sequential)")
-		logLevel     = flag.String("log-level", "info", "log threshold: debug|info|warn|error")
+		id          = flag.String("id", "", "server id (required)")
+		listen      = flag.String("listen", "127.0.0.1:7001", "replication listen address")
+		peerSpec    = flag.String("peers", "", "comma-separated id=addr peer list")
+		httpAddr    = flag.String("http", "127.0.0.1:8001", "client HTTP address")
+		walPath     = flag.String("wal", "", "write-ahead log path (default <id>.wal)")
+		recover     = flag.Bool("recover", false, "replay the WAL before starting")
+		delayed     = flag.Bool("delayed-writes", false, "use delayed (asynchronous) disk writes")
+		maxInFlight = flag.Int("max-inflight", 0, "admission budget for strict requests (0: default, -1: unlimited)")
+		httpTimeout = flag.Duration("http-timeout", 0, "server-side deadline per client request (0: default)")
+		maxBatch    = flag.Int("max-batch", 0, "max actions coalesced into one multicast bundle (0: default, 1: disable batching)")
+		adminAddr   = flag.String("admin-addr", "", "serve /metrics, /debug/events and /debug/pprof on this address (empty: disabled)")
+		logLevel    = flag.String("log-level", "info", "log threshold: debug|info|warn|error")
 	)
 	flag.Parse()
 	if *id == "" {
@@ -144,7 +143,6 @@ func run() error {
 		MaxInFlight:     *maxInFlight,
 		MaxBatchActions: *maxBatch,
 		Obs:             ob,
-		ApplyWorkers:    *applyWorkers,
 	})
 	if err != nil {
 		return err

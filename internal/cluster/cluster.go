@@ -55,20 +55,6 @@ func WithMaxBatch(n int) Option {
 	return func(c *Cluster) { c.maxBatch = n }
 }
 
-// WithApplyWorkers sets each replica database's parallel green-apply
-// width (see core.Config.ApplyWorkers).
-func WithApplyWorkers(n int) Option {
-	return func(c *Cluster) { c.applyWorkers = n }
-}
-
-// WithApplyOracle enables the determinism oracle on every replica
-// database: each green mutation is re-applied on a shadow sequential
-// database and cross-checked (db.Database.EnableOracle). The simulator
-// turns this on for every run and asserts db.CheckOracle in the finale.
-func WithApplyOracle() Option {
-	return func(c *Cluster) { c.applyOracle = true }
-}
-
 // WithCrashHook installs a fault-injection hook invoked at every engine
 // "** sync to disk" barrier (see core.Config.SyncHook). Returning true
 // kills the replica exactly at that barrier: the engine halts mid-handler
@@ -103,9 +89,6 @@ type Cluster struct {
 	quorum    quorum.System
 	maxBatch  int
 	crashHook func(id types.ServerID, point string) bool
-
-	applyWorkers int
-	applyOracle  bool
 
 	mu       sync.Mutex
 	replicas map[types.ServerID]*Replica
@@ -161,9 +144,6 @@ func (c *Cluster) start(id types.ServerID, snap *core.JoinSnapshot, recovering b
 	c.mu.Unlock()
 
 	database := db.New()
-	if c.applyOracle {
-		database.EnableOracle()
-	}
 	cfg := core.Config{
 		ID:              id,
 		Servers:         servers,
@@ -174,7 +154,6 @@ func (c *Cluster) start(id types.ServerID, snap *core.JoinSnapshot, recovering b
 		Recover:         recovering,
 		MaxBatchActions: c.maxBatch,
 		Obs:             ob,
-		ApplyWorkers:    c.applyWorkers,
 	}
 	if c.crashHook != nil {
 		cfg.SyncHook = func(point string) bool {

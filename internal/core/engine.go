@@ -202,11 +202,6 @@ type Config struct {
 	// a process hosting engine + EVS + transport passes one shared
 	// Observer so its /metrics endpoint shows the whole node.
 	Obs *obs.Observer
-	// ApplyWorkers sets the database's parallel green-apply width
-	// (db.Database.SetApplyWorkers): 0 keeps the GOMAXPROCS-derived
-	// default, 1 forces sequential apply, and negative also restores
-	// the default.
-	ApplyWorkers int
 }
 
 type submitReq struct {
@@ -447,10 +442,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		e.obs = obs.NewObserver()
 	}
 	e.om = newCoreObs(e.obs.Reg)
-	database.Instrument(e.obs.Reg)
-	if cfg.ApplyWorkers != 0 {
-		database.SetApplyWorkers(cfg.ApplyWorkers)
-	}
 	if e.maxInFlight == 0 {
 		e.maxInFlight = DefaultMaxInFlight
 	}

@@ -32,9 +32,10 @@ type coreObs struct {
 	duplicates    *obs.Counter
 	overloads     *obs.Counter
 
-	latency   [3]*obs.Histogram // indexed by types.Semantics
-	batchSize *obs.Histogram
-	exchDur   *obs.Histogram
+	latency    [3]*obs.Histogram // indexed by types.Semantics
+	batchSize  *obs.Histogram
+	exchDur    *obs.Histogram
+	applyStall *obs.Histogram
 
 	flushFull  *obs.Counter
 	flushDrain *obs.Counter
@@ -61,6 +62,7 @@ func newCoreObs(r *obs.Registry) *coreObs {
 		overloads:     r.Counter("evsdb_admission_rejects_total", "Submissions refused because the in-flight budget was exhausted."),
 		batchSize:     r.Histogram("evsdb_batch_actions", "Locally created actions per multicast after their sync.", obs.SizeBuckets),
 		exchDur:       r.Histogram("evsdb_exchange_round_seconds", "State-exchange round duration, ExchangeStates entry to quorum decision.", nil),
+		applyStall:    r.Histogram("evsdb_apply_stall_seconds", "Wall time the engine loop stalls in one green apply batch.", nil),
 		flushFull:     r.Counter("evsdb_batch_flush_total", "Multicasts of synced actions by reason: full (MaxBatchActions) or drain (all that one sync covered).", obs.L("reason", "full")),
 		flushDrain:    r.Counter("evsdb_batch_flush_total", "Multicasts of synced actions by reason: full (MaxBatchActions) or drain (all that one sync covered).", obs.L("reason", "drain")),
 		walSync:       make(map[string]*obs.Counter),

@@ -808,10 +808,10 @@ func (e *Engine) plainGreen(a types.Action, runKeys map[string]bool) bool {
 
 // applyGreenRun is the fused form of applyGreen for a run of plain
 // updates: promote all, ONE green WAL record, ONE history/watcher pass,
-// ONE db.ApplyBatchParallel — the dependency-aware scheduler overlaps
-// non-conflicting updates across the worker pool while keeping the
-// observable outcome identical to sequential total-order apply — then
-// per-action replies, dedup entries, and query releases fan back out.
+// ONE db.ApplyBatch — the updates apply in total order under one lock
+// acquisition, its duration observed as the engine loop's apply stall —
+// then per-action replies, dedup entries, and query releases fan back
+// out.
 func (e *Engine) applyGreenRun(run []types.Action) {
 	n := 0
 	seqs := make([]uint64, len(run))
@@ -845,7 +845,9 @@ func (e *Engine) applyGreenRun(run []types.Action) {
 			e.orderedIdx[a.ID.Server] = a.ID.Index
 		}
 	}
-	errs := e.db.ApplyBatchParallel(updates)
+	start := time.Now()
+	errs := e.db.ApplyBatch(updates)
+	e.om.applyStall.ObserveDuration(time.Since(start))
 	for i, a := range run {
 		var errStr string
 		if errs[i] != nil {

@@ -342,9 +342,9 @@ func (r *reader) op(depth int) Op {
 	return op
 }
 
-// decodeUpdate is the one decoder behind every apply path (applyUpdate,
-// analyzeUpdate and so ApplyDirty): its errors are the deterministic
-// abort every replica reports for the same bytes.
+// decodeUpdate is the one decoder behind green and dirty apply (Tx.run):
+// its errors are the deterministic abort every replica reports for the
+// same bytes.
 func decodeUpdate(update []byte) ([]Op, error) {
 	r := header(update, updateMagic)
 	ops := r.ops(1)

@@ -121,41 +121,138 @@ type Result struct {
 // its arguments.
 type Procedure func(tx *Tx, args []byte) error
 
-// Tx gives a procedure deterministic read/write access.
-type Tx struct {
-	read  func(key string) (string, bool)
-	write map[string]*string // nil value pointer = delete
+// staged is one pending write: a value, or a delete.
+type staged struct {
+	val string
+	del bool
 }
 
-// Get reads a key, observing earlier writes in the same transaction.
+// write is one staged write of the running update; ts is the tsset
+// timestamp it carries, 0 for other writes.
+type write struct {
+	key string
+	staged
+	ts int64
+}
+
+// Tx is the state one update runs against: the green maps, the dirty
+// overlay when the update is red, and the writes the update has staged
+// so far, in op order. Every op, and every procedure an op invokes,
+// reads and writes through it. The caller commits the staged writes
+// only when the whole update succeeds, so an aborted update has no
+// effects. Reads scan the staged writes newest first: an update stages
+// few, and this costs less than a map per update would.
+type Tx struct {
+	data   map[string]string
+	ts     map[string]int64
+	over   map[string]staged // dirty overlay; nil for green apply
+	overTS map[string]int64
+	writes []write // emptied before each update
+	procs  map[string]Procedure
+}
+
+// Get reads a key, observing earlier writes in the same update.
 func (tx *Tx) Get(key string) (string, bool) {
-	if v, ok := tx.write[key]; ok {
-		if v == nil {
-			return "", false
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		if w := &tx.writes[i]; w.key == key {
+			return w.val, !w.del
 		}
-		return *v, true
 	}
-	return tx.read(key)
+	if s, ok := tx.over[key]; ok {
+		return s.val, !s.del
+	}
+	v, ok := tx.data[key]
+	return v, ok
 }
 
 // Set writes a key.
 func (tx *Tx) Set(key, value string) {
-	v := value
-	tx.write[key] = &v
+	tx.writes = append(tx.writes, write{key: key, staged: staged{val: value}})
 }
 
 // Del deletes a key.
-func (tx *Tx) Del(key string) { tx.write[key] = nil }
+func (tx *Tx) Del(key string) {
+	tx.writes = append(tx.writes, write{key: key, staged: staged{del: true}})
+}
+
+// stamp reads a key's tsset timestamp through the same layers as Get.
+func (tx *Tx) stamp(key string) int64 {
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		if w := &tx.writes[i]; w.key == key && w.ts != 0 {
+			return w.ts
+		}
+	}
+	if t, ok := tx.overTS[key]; ok {
+		return t
+	}
+	return tx.ts[key]
+}
+
+// run decodes update and stages its ops, after dropping whatever the
+// previous update staged.
+func (tx *Tx) run(update []byte) error {
+	tx.writes = tx.writes[:0]
+	ops, err := decodeUpdate(update)
+	if err != nil {
+		return err
+	}
+	return tx.exec(ops)
+}
+
+// exec is the op interpreter: green and red updates alike run here.
+func (tx *Tx) exec(ops []Op) error {
+	for _, op := range ops {
+		switch op.Kind {
+		case "noop":
+			// Carries payload without touching state; used by benchmarks
+			// that measure the replication engine without DB interaction
+			// (paper § 7 does exactly this).
+		case "set":
+			tx.Set(op.Key, op.Value)
+		case "del":
+			tx.Del(op.Key)
+		case "add":
+			delta, err := strconv.ParseInt(op.Value, 10, 64)
+			if err != nil {
+				return fmt.Errorf("add %q: bad delta %q", op.Key, op.Value)
+			}
+			cur, _ := tx.Get(op.Key)
+			n, _ := strconv.ParseInt(cur, 10, 64)
+			tx.Set(op.Key, strconv.FormatInt(n+delta, 10))
+		case "tsset":
+			if op.TS > tx.stamp(op.Key) {
+				tx.writes = append(tx.writes, write{key: op.Key, staged: staged{val: op.Value}, ts: op.TS})
+			}
+		case "cas":
+			for k, want := range op.Expect {
+				if got, found := tx.Get(k); !found || got != want {
+					return fmt.Errorf("cas aborted: guard mismatch")
+				}
+			}
+			if err := tx.exec(op.Ops); err != nil {
+				return err
+			}
+		case "proc":
+			p, ok := tx.procs[op.Proc]
+			if !ok {
+				return fmt.Errorf("proc %q not registered", op.Proc)
+			}
+			if err := p(tx, op.Args); err != nil {
+				return fmt.Errorf("proc %q: %w", op.Proc, err)
+			}
+		default:
+			return fmt.Errorf("unknown op kind %q", op.Kind)
+		}
+	}
+	return nil
+}
 
 // Database is a deterministic replicated key-value store.
 //
-// Lock order: applyMu -> mu -> dirtyMu. Green mutators (Apply,
-// ApplyBatch, ApplyBatchParallel, Restore) serialize on applyMu and
-// touch green state under mu; the dirty overlay lives behind its own
-// dirtyMu so red applies and degraded reads only need mu read-side and
-// never contend with a green apply in progress.
+// Green apply is sequential: Apply, ApplyBatch and Restore hold mu for
+// writing. The dirty overlay lives behind its own dirtyMu, taken after
+// mu, so red applies and degraded reads only need mu read-side.
 type Database struct {
-	applyMu sync.Mutex // serializes green mutators and oracle mirroring
 	mu      sync.RWMutex
 	data    map[string]string
 	ts      map[string]int64
@@ -164,41 +261,33 @@ type Database struct {
 
 	// dirty overlays the green state with red effects for dirty queries.
 	dirtyMu      sync.RWMutex
-	dirty        map[string]*string
+	dirty        map[string]staged
 	dirtyTS      map[string]int64
 	dirtyApplied uint64
 
-	// workers is the configured parallel-apply width (parallel.go);
-	// 0 means the GOMAXPROCS-derived default.
-	workers int
-	// met holds optional instruments (obs.go).
-	met *applyObs
-	// oracle is the optional shadow sequential database (oracle.go).
-	oracle    *Database
-	oracleErr error
+	// tx is the transaction every apply runs in, kept so its staged
+	// writes reuse one buffer. Green apply holds mu and red apply holds
+	// mu's read side plus dirtyMu, so no two applies share it at once.
+	tx Tx
 }
 
 // New returns an empty database.
 func New() *Database {
-	return &Database{
+	d := &Database{
 		data:  make(map[string]string),
 		ts:    make(map[string]int64),
 		procs: make(map[string]Procedure),
-		dirty: make(map[string]*string),
 	}
+	d.ResetDirty()
+	return d
 }
 
 // RegisterProc registers a deterministic procedure. Every replica must
 // register the same procedures before applying actions that invoke them.
 func (d *Database) RegisterProc(name string, p Procedure) {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.procs[name] = p
-	d.mu.Unlock()
-	if d.oracle != nil {
-		d.oracle.RegisterProc(name, p)
-	}
 }
 
 // Version returns the number of updates applied to the green state.
@@ -208,19 +297,19 @@ func (d *Database) Version() uint64 {
 	return d.version
 }
 
+// newTx readies d.tx over the green state and the given overlay (nil
+// for green apply). Callers hold mu, and dirtyMu for an overlay.
+func (d *Database) newTx(over map[string]staged, overTS map[string]int64) *Tx {
+	d.tx = Tx{data: d.data, ts: d.ts, over: over, overTS: overTS, procs: d.procs, writes: d.tx.writes}
+	return &d.tx
+}
+
 // Apply applies an encoded update to the green (consistent) state. A
 // deterministic semantic failure (bad encoding, failed CAS guard, failed
 // procedure) is an abort: the state advances past the action without
 // effects, identically at every replica, and the abort is reported.
 func (d *Database) Apply(update []byte) error {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	d.mu.Lock()
-	d.version++
-	err := applyUpdate(update, d.data, d.ts, d.procs)
-	d.mu.Unlock()
-	d.mirrorOne(update, err)
-	return err
+	return d.ApplyBatch([][]byte{update})[0]
 }
 
 // ApplyBatch applies a run of encoded updates under ONE lock acquisition,
@@ -228,100 +317,70 @@ func (d *Database) Apply(update []byte) error {
 // the version advances once per update, so a replica that applied the
 // same actions singly reports the same version — but the per-update
 // locking cost amortizes over the batch (the engine's fused green apply).
-// For dependency-aware concurrent application see ApplyBatchParallel.
 func (d *Database) ApplyBatch(updates [][]byte) []error {
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
-	errs := d.applyBatchSeq(updates)
-	d.mirrorBatch(updates, errs, false)
-	return errs
-}
-
-// applyBatchSeq is the sequential apply loop; callers hold applyMu.
-func (d *Database) applyBatchSeq(updates [][]byte) []error {
 	errs := make([]error, len(updates))
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	tx := d.newTx(nil, nil)
 	for i, u := range updates {
 		d.version++
-		errs[i] = applyUpdate(u, d.data, d.ts, d.procs)
+		if errs[i] = tx.run(u); errs[i] == nil {
+			d.commitGreen(tx)
+		}
 	}
 	return errs
 }
 
+// ApplyBatchParallel is ApplyBatch.
+//
+// Deprecated: green apply is sequential; call ApplyBatch.
+func (d *Database) ApplyBatchParallel(updates [][]byte) []error { return d.ApplyBatch(updates) }
+
+// commitGreen writes a successful update's staged writes into the green
+// maps. Callers hold mu.
+func (d *Database) commitGreen(tx *Tx) {
+	for _, w := range tx.writes {
+		if w.del {
+			delete(d.data, w.key)
+		} else {
+			d.data[w.key] = w.val
+		}
+		if w.ts != 0 {
+			d.ts[w.key] = w.ts
+		}
+	}
+}
+
 // ApplyDirty applies an encoded update to the dirty overlay only; the
 // green state is untouched (paper § 6 "dirty query" support). The
-// update is evaluated against the layered green+overlay view (no green
-// state copy) and its staged effects fold into the overlay atomically:
-// a deterministic abort leaves the overlay unchanged. Only mu's read
-// side is taken, so red applies never block green queries and only
-// wait out the parallel applier's short merge windows.
+// update runs against the layered green+overlay view and, like a green
+// update, commits only if it succeeds. Only mu's read side is taken, so
+// red applies never block green queries.
 func (d *Database) ApplyDirty(update []byte) error {
-	an := analyzeUpdate(update)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.dirtyMu.Lock()
 	defer d.dirtyMu.Unlock()
 	d.dirtyApplied++
-	if an.decErr != nil {
-		return an.decErr
-	}
-	readOverlay := func(k string) (string, bool) {
-		if v, ok := d.dirty[k]; ok {
-			if v == nil {
-				return "", false
-			}
-			return *v, true
-		}
-		v, ok := d.data[k]
-		return v, ok
-	}
-	readOverlayTS := func(k string) int64 {
-		if v, ok := d.dirtyTS[k]; ok {
-			return v
-		}
-		return d.ts[k]
-	}
-	effs, err := evalOps(an.ops, stateView{readData: readOverlay, readTS: readOverlayTS}, d.procs)
-	if err != nil {
+	tx := d.newTx(d.dirty, d.dirtyTS)
+	if err := tx.run(update); err != nil {
 		return err
 	}
-	// Fold effects into the overlay in order, normalizing entries that
+	// Fold the staged writes into the overlay, dropping entries that
 	// land back on the green value.
-	setK := func(k, v string) {
-		if cur, ok := d.data[k]; ok && cur == v {
-			delete(d.dirty, k)
+	for _, w := range tx.writes {
+		if v, ok := d.data[w.key]; w.staged == (staged{val: v, del: !ok}) {
+			delete(d.dirty, w.key)
 		} else {
-			val := v
-			d.dirty[k] = &val
+			d.dirty[w.key] = w.staged
 		}
-	}
-	for _, e := range effs {
-		switch e.kind {
-		case effSet:
-			setK(e.key, e.val)
-		case effDel:
-			if _, ok := d.data[e.key]; ok {
-				d.dirty[e.key] = nil
-			} else {
-				delete(d.dirty, e.key)
-			}
-		case effAdd:
-			curStr, _ := readOverlay(e.key)
-			cur, _ := strconv.ParseInt(curStr, 10, 64)
-			setK(e.key, strconv.FormatInt(cur+e.delta, 10))
-		case effTS:
-			if e.ts > readOverlayTS(e.key) {
-				if d.dirtyTS == nil {
-					d.dirtyTS = make(map[string]int64)
-				}
-				if d.ts[e.key] == e.ts {
-					delete(d.dirtyTS, e.key)
-				} else {
-					d.dirtyTS[e.key] = e.ts
-				}
-				setK(e.key, e.val)
-			}
+		if w.ts == 0 {
+			continue
+		}
+		if d.ts[w.key] == w.ts {
+			delete(d.dirtyTS, w.key)
+		} else {
+			d.dirtyTS[w.key] = w.ts
 		}
 	}
 	return nil
@@ -332,8 +391,8 @@ func (d *Database) ApplyDirty(update []byte) error {
 func (d *Database) ResetDirty() {
 	d.dirtyMu.Lock()
 	defer d.dirtyMu.Unlock()
-	d.dirty = make(map[string]*string)
-	d.dirtyTS = nil
+	d.dirty = make(map[string]staged)
+	d.dirtyTS = make(map[string]int64)
 	d.dirtyApplied = 0
 }
 
@@ -358,23 +417,14 @@ func (d *Database) QueryDirty(query []byte) (Result, error) {
 	defer d.mu.RUnlock()
 	d.dirtyMu.RLock()
 	defer d.dirtyMu.RUnlock()
-	read := func(k string) (string, bool) {
-		if v, ok := d.dirty[k]; ok {
-			if v == nil {
-				return "", false
-			}
-			return *v, true
-		}
-		v, ok := d.data[k]
-		return v, ok
-	}
+	view := Tx{data: d.data, over: d.dirty}
 	keys := func() []string {
 		set := make(map[string]bool, len(d.data)+len(d.dirty))
 		for k := range d.data {
 			set[k] = true
 		}
-		for k, v := range d.dirty {
-			if v == nil {
+		for k, s := range d.dirty {
+			if s.del {
 				delete(set, k)
 			} else {
 				set[k] = true
@@ -387,7 +437,7 @@ func (d *Database) QueryDirty(query []byte) (Result, error) {
 		sort.Strings(out)
 		return out
 	}
-	res, err := runQuery(query, read, keys)
+	res, err := runQuery(query, view.Get, keys)
 	if err != nil {
 		return Result{}, err
 	}
@@ -414,15 +464,15 @@ func (d *Database) Snapshot() []byte {
 	return buf
 }
 
-// Restore replaces the green state with a snapshot.
+// Restore replaces the green state with a snapshot and discards the
+// dirty overlay.
 func (d *Database) Restore(buf []byte) error {
 	var s snapshot
 	if err := json.Unmarshal(buf, &s); err != nil {
 		return fmt.Errorf("restore snapshot: %w", err)
 	}
-	d.applyMu.Lock()
-	defer d.applyMu.Unlock()
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.data = s.Data
 	if d.data == nil {
 		d.data = make(map[string]string)
@@ -432,13 +482,7 @@ func (d *Database) Restore(buf []byte) error {
 		d.ts = make(map[string]int64)
 	}
 	d.version = s.Version
-	d.mu.Unlock()
-	d.dirtyMu.Lock()
-	d.dirty = make(map[string]*string)
-	d.dirtyTS = nil
-	d.dirtyApplied = 0
-	d.dirtyMu.Unlock()
-	d.mirrorRestore(buf)
+	d.ResetDirty()
 	return nil
 }
 
@@ -447,81 +491,6 @@ func (d *Database) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.data)
-}
-
-// applyUpdate runs the ops against the given mutable maps.
-func applyUpdate(update []byte, data map[string]string, ts map[string]int64, procs map[string]Procedure) error {
-	ops, err := decodeUpdate(update)
-	if err != nil {
-		return err
-	}
-	return applyOps(ops, data, ts, procs)
-}
-
-func applyOps(ops []Op, data map[string]string, ts map[string]int64, procs map[string]Procedure) error {
-	for _, op := range ops {
-		switch op.Kind {
-		case "noop":
-			// Carries payload without touching state; used by benchmarks
-			// that measure the replication engine without DB interaction
-			// (paper § 7 does exactly this).
-		case "set":
-			data[op.Key] = op.Value
-		case "del":
-			delete(data, op.Key)
-		case "add":
-			delta, err := strconv.ParseInt(op.Value, 10, 64)
-			if err != nil {
-				return fmt.Errorf("add %q: bad delta %q", op.Key, op.Value)
-			}
-			cur, _ := strconv.ParseInt(data[op.Key], 10, 64)
-			data[op.Key] = strconv.FormatInt(cur+delta, 10)
-		case "tsset":
-			if op.TS > ts[op.Key] {
-				ts[op.Key] = op.TS
-				data[op.Key] = op.Value
-			}
-		case "cas":
-			ok := true
-			for k, want := range op.Expect {
-				if got, found := data[k]; !found || got != want {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				return fmt.Errorf("cas aborted: guard mismatch")
-			}
-			if err := applyOps(op.Ops, data, ts, procs); err != nil {
-				return err
-			}
-		case "proc":
-			p, ok := procs[op.Proc]
-			if !ok {
-				return fmt.Errorf("proc %q not registered", op.Proc)
-			}
-			tx := &Tx{
-				read: func(k string) (string, bool) {
-					v, ok := data[k]
-					return v, ok
-				},
-				write: make(map[string]*string),
-			}
-			if err := p(tx, op.Args); err != nil {
-				return fmt.Errorf("proc %q: %w", op.Proc, err)
-			}
-			for k, v := range tx.write {
-				if v == nil {
-					delete(data, k)
-				} else {
-					data[k] = *v
-				}
-			}
-		default:
-			return fmt.Errorf("unknown op kind %q", op.Kind)
-		}
-	}
-	return nil
 }
 
 func runQuery(query []byte, read func(string) (string, bool), keys func() []string) (Result, error) {

@@ -52,26 +52,10 @@ func BenchmarkApplyBatch64(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBatchParallel64 drives the same 64-update batch through
-// the dependency-aware parallel scheduler (distinct keys: one wave);
-// compare against BenchmarkApplyBatch64 for the scheduling overhead on
-// this host and the scaling on multi-core ones.
-func BenchmarkApplyBatchParallel64(b *testing.B) {
-	d := New()
-	updates := benchUpdates(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		requireNoErrors(b, d.ApplyBatchParallel(updates))
-	}
-}
-
-// benchmarkDirtyReadDuring measures degraded-read latency while green
-// apply churns in the background — the satellite's before/after probe.
-// With the old single-mutex database every dirty read waited out whole
-// green batches; after the RWMutex split, reads only wait out the
-// parallel applier's merge windows.
-func benchmarkDirtyReadDuring(b *testing.B, apply func(d *Database, updates [][]byte)) {
+// BenchmarkDirtyReadDuringApply measures degraded-read latency while
+// green batches apply in the background: each dirty read waits out at
+// most one batch holding the write lock.
+func BenchmarkDirtyReadDuringApply(b *testing.B) {
 	d := New()
 	if err := d.ApplyDirty(EncodeUpdate(Set("red", "r"))); err != nil {
 		b.Fatal(err)
@@ -86,7 +70,7 @@ func benchmarkDirtyReadDuring(b *testing.B, apply func(d *Database, updates [][]
 			case <-stop:
 				return
 			default:
-				apply(d, updates)
+				d.ApplyBatch(updates)
 			}
 		}
 	}()
@@ -106,7 +90,7 @@ func benchmarkDirtyReadDuring(b *testing.B, apply func(d *Database, updates [][]
 // BenchmarkApplyDirty10k measures one dirty update against a 10k-key
 // green store. The seed implementation materialized a copy-on-write
 // view of the entire database per dirty update under the green write
-// lock (O(|db|), ~1.8 ms here); the staged-effect overlay path is
+// lock (O(|db|), ~1.8 ms here); the staged overlay path is
 // O(|update|) and never takes the green write lock.
 func BenchmarkApplyDirty10k(b *testing.B) {
 	d := New()
@@ -123,16 +107,4 @@ func BenchmarkApplyDirty10k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkDirtyReadDuringSequentialApply(b *testing.B) {
-	benchmarkDirtyReadDuring(b, func(d *Database, updates [][]byte) {
-		d.ApplyBatch(updates)
-	})
-}
-
-func BenchmarkDirtyReadDuringParallelApply(b *testing.B) {
-	benchmarkDirtyReadDuring(b, func(d *Database, updates [][]byte) {
-		d.ApplyBatchParallel(updates)
-	})
 }

@@ -9,8 +9,9 @@ import (
 
 // FuzzApply throws arbitrary bytes at the update decoder and applier: a
 // replica must survive any garbage a buggy client encodes (errors are
-// deterministic aborts, never panics), and determinism must hold — two
-// databases fed the same bytes end in the same state.
+// deterministic aborts, never panics), determinism must hold — two
+// databases fed the same bytes end in the same state — and an abort
+// leaves no effects, though the version still advances.
 func FuzzApply(f *testing.F) {
 	f.Add(EncodeUpdate(Set("a", "1")))
 	f.Add(EncodeUpdate(Add("n", 5)))
@@ -18,6 +19,7 @@ func FuzzApply(f *testing.F) {
 	f.Add(EncodeUpdate(TSSet("t", "x", 9)))
 	f.Add(EncodeUpdate(Noop("pad")))
 	f.Add([]byte(`{"ops":[{"kind":"set","key":"a","value":"1"}]}`)) // the retired JSON format
+	f.Add(EncodeUpdate(Set("a", "partial"), Op{Kind: "add", Key: "a", Value: "NaN"}))
 	f.Fuzz(func(t *testing.T, update []byte) {
 		d1, d2 := New(), New()
 		err1 := d1.Apply(update)
@@ -30,6 +32,9 @@ func FuzzApply(f *testing.F) {
 		}
 		if d1.Version() != 1 {
 			t.Fatalf("version %d after one apply", d1.Version())
+		}
+		if err1 != nil && d1.Len() != 0 {
+			t.Fatalf("aborted update (%v) left %d keys", err1, d1.Len())
 		}
 	})
 }

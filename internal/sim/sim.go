@@ -161,11 +161,6 @@ func Run(sched *Schedule, opts Options) *Result {
 	res := &Result{Seed: sched.Seed}
 	c, err := cluster.New(sched.Nodes,
 		cluster.WithCrashHook(r.hook),
-		// Every simulated replica runs the determinism oracle: the
-		// parallel green applier is cross-checked against a shadow
-		// sequential applier on every batch, and the finale asserts no
-		// divergence was ever recorded (CheckOracle per replica).
-		cluster.WithApplyOracle(),
 		cluster.WithSyncPolicy(storage.SyncForced),
 		cluster.WithEVSTick(scale*200*time.Microsecond),
 		cluster.WithNetwork(
@@ -605,16 +600,6 @@ func (r *runner) finale() error {
 	}
 	if err := r.checkStateEquality(); err != nil {
 		return err
-	}
-	// Determinism oracle: every replica's parallel applier must have
-	// stayed byte-identical to its shadow sequential applier across the
-	// whole schedule, including crashes and recoveries.
-	for _, id := range r.ids {
-		if rep := r.c.Replica(id); rep != nil {
-			if err := rep.DB.CheckOracle(); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-		}
 	}
 	rep := r.c.Replica(r.ids[0])
 	for _, s := range expect {

@@ -139,9 +139,7 @@ const (
 
 // Relaxed reports whether the semantics class permits application
 // before the global order is known (paper § 6): commutative and
-// timestamp actions converge regardless of apply order, which is also
-// why the parallel green applier may overlap them freely within their
-// class.
+// timestamp actions converge regardless of apply order.
 func (s Semantics) Relaxed() bool {
 	return s == SemCommutative || s == SemTimestamp
 }
