@@ -135,17 +135,16 @@ func TestSimFlakeSeed(t *testing.T) {
 	runSeed(t, 1786030011310274417)
 }
 
-// keptRandomBase starts a window of keptRandomRuns seeds that one random
-// exploration drew and passed. TestSimRandom replays it beside every
-// fresh window, so a regression on those schedules shows under the same
-// subtest names from run to run.
-const (
-	keptRandomBase = 1792218363760852619
-	keptRandomRuns = 48
-)
+// keptRandomBases each start a window of keptRandomRuns seeds that one
+// random exploration drew and passed. TestSimRandom replays them beside
+// every fresh window, so a regression on those schedules shows under the
+// same subtest names from run to run.
+var keptRandomBases = []int64{1792218363760852619, 1792414552671231757}
+
+const keptRandomRuns = 48
 
 // TestSimRandom explores fresh random seeds (long mode only), after the
-// kept window. The base seed is logged so a failing batch is re-runnable
+// kept windows. The base seed is logged so a failing batch is re-runnable
 // with -sim.seed.
 func TestSimRandom(t *testing.T) {
 	if testing.Short() {
@@ -156,9 +155,11 @@ func TestSimRandom(t *testing.T) {
 	}
 	base := time.Now().UnixNano()
 	t.Logf("random base seed: %d (replay any failure via -sim.seed)", base)
-	seeds := make([]int64, 0, keptRandomRuns+*simRuns)
-	for i := int64(0); i < keptRandomRuns; i++ {
-		seeds = append(seeds, keptRandomBase+i)
+	seeds := make([]int64, 0, len(keptRandomBases)*keptRandomRuns+*simRuns)
+	for _, kept := range keptRandomBases {
+		for i := int64(0); i < keptRandomRuns; i++ {
+			seeds = append(seeds, kept+i)
+		}
 	}
 	for i := 0; i < *simRuns; i++ {
 		seeds = append(seeds, base+int64(i))
