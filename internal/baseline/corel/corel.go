@@ -151,7 +151,7 @@ func (r *Replica) run() {
 			}
 			r.handleEvent(ev)
 		case req := <-r.submitCh:
-			r.handleSubmit(req)
+			r.onSubmit(req)
 		case ch := <-r.statsCh:
 			ch <- r.committed
 		case <-r.stop:
@@ -160,7 +160,7 @@ func (r *Replica) run() {
 	}
 }
 
-func (r *Replica) handleSubmit(req submitReq) {
+func (r *Replica) onSubmit(req submitReq) {
 	r.nextIdx++
 	id := types.ActionID{Server: r.id, Index: r.nextIdx}
 	committed := make(chan struct{})

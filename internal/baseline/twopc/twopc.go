@@ -130,14 +130,14 @@ func (r *Replica) run() {
 			}
 			r.handleWire(msg)
 		case req := <-r.submitCh:
-			r.handleSubmit(req)
+			r.onSubmit(req)
 		case <-r.stop:
 			return
 		}
 	}
 }
 
-func (r *Replica) handleSubmit(req submitReq) {
+func (r *Replica) onSubmit(req submitReq) {
 	r.nextIdx++
 	id := types.ActionID{Server: r.id, Index: r.nextIdx}
 	done := make(chan struct{})

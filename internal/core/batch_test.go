@@ -19,8 +19,8 @@ func setAction(idx uint64, key, value string) types.Action {
 }
 
 // TestBatchAppliesLikeSequential pins the batching pipeline's core
-// contract: delivering a bundle through onActionBatch produces exactly
-// the state that back-to-back single deliveries would have.
+// contract: delivering one bundle of n actions produces exactly the state
+// that n bundles of one would have.
 func TestBatchAppliesLikeSequential(t *testing.T) {
 	batched, gcB, _ := testEngine(t, "a", "a")
 	exchangeToPrim(t, batched, gcB, conf(1, "a"), nil)
@@ -31,9 +31,9 @@ func TestBatchAppliesLikeSequential(t *testing.T) {
 	for i := range acts {
 		acts[i] = setAction(uint64(i+1), fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i))
 	}
-	batched.onActionBatch(acts)
+	deliver(batched, acts...)
 	for _, a := range acts {
-		sequential.onAction(a)
+		deliver(sequential, a)
 	}
 
 	if g, s := batched.queue.greenCount(), sequential.queue.greenCount(); g != s || g != uint64(len(acts)) {
@@ -151,8 +151,7 @@ func TestBatchNonPrimStaysRed(t *testing.T) {
 }
 
 // TestBatchWALReplay: the batch WAL records (recRedBatch, recGreenBatch,
-// recOngoingBatch) must replay to the same state their per-action
-// equivalents would.
+// recOngoingBatch) must replay to the state live delivery produced.
 func TestBatchWALReplay(t *testing.T) {
 	gc := newFakeGC()
 	log := storage.NewMemLog(storage.Options{Policy: storage.SyncNone})
@@ -208,3 +207,56 @@ func TestBatchWALReplay(t *testing.T) {
 		}
 	}
 }
+
+// deliverOneProbe returns a singleton primary and a function that
+// delivers its next keyed 16-set update, which turns green at once: the
+// shape of apply_heavy, where about one action travels per multicast.
+func deliverOneProbe(tb testing.TB) func() {
+	gc := newFakeGC()
+	e, err := newEngine(Config{ID: "a", Servers: []types.ServerID{"a"}, GC: gc,
+		Log: storage.NewMemLog(storage.Options{Policy: storage.SyncNone})})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	exchangeToPrim(tb, e, gc, conf(1, "a"), nil)
+	ops := make([]db.Op, 16)
+	for i := range ops {
+		ops[i] = db.Set(fmt.Sprintf("key-%02d", i), "0123456789abcdef")
+	}
+	update := db.EncodeUpdate(ops...)
+	var one [1]types.Action
+	var idx uint64
+	return func() {
+		idx++
+		one[0] = types.Action{
+			ID: types.ActionID{Server: "a", Index: idx}, Type: types.ActionUpdate,
+			Client: "c", ClientSeq: idx, GreenLine: idx - 1, Update: update,
+		}
+		e.onActionBatch(one[:])
+	}
+}
+
+// BenchmarkDeliverOne times the delivery of one keyed update, green, to a
+// singleton primary.
+func BenchmarkDeliverOne(b *testing.B) {
+	next := deliverOneProbe(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
+	}
+}
+
+// TestDeliverOneAllocs guards the cost of a bundle of one: every
+// delivery takes the bundle path, so it must not allocate more than the
+// single-action path it replaced (deliverOneAllocs per delivery).
+func TestDeliverOneAllocs(t *testing.T) {
+	next := deliverOneProbe(t)
+	if n := testing.AllocsPerRun(500, next); n > deliverOneAllocs {
+		t.Fatalf("one delivery makes %.1f allocations, want at most %d", n, deliverOneAllocs)
+	}
+}
+
+// deliverOneAllocs is what one delivery cost on the single-action path
+// that bundles of one replaced.
+const deliverOneAllocs = 41

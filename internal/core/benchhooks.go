@@ -6,10 +6,10 @@ import (
 	"evsdb/internal/types"
 )
 
-// codecSpecimen is a representative 200-byte keyed update action, the
-// shape the submit hot path encodes per hop.
+// codecSpecimen is a bundle of one representative 200-byte keyed update
+// action, the shape the submit hot path encodes per hop.
 func codecSpecimen() engineMsg {
-	return engineMsg{Kind: emAction, Action: &types.Action{
+	return engineMsg{Kind: emBatch, Batch: []types.Action{{
 		ID:        types.ActionID{Server: "s03", Index: 4242},
 		Type:      types.ActionUpdate,
 		Semantics: types.SemStrict,
@@ -17,7 +17,7 @@ func codecSpecimen() engineMsg {
 		Client:    "client-7",
 		ClientSeq: 41,
 		Update:    make([]byte, 200),
-	}}
+	}}}
 }
 
 // CodecAllocsPerOp measures allocations per encode and per decode of a

@@ -18,7 +18,7 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	}
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
 	for i := uint64(1); i <= 20; i++ {
-		e.onAction(types.Action{
+		deliver(e, types.Action{
 			ID: types.ActionID{Server: "a", Index: i}, Type: types.ActionUpdate,
 			Update: db.EncodeUpdate(db.Add("n", 1)),
 		})
@@ -78,9 +78,9 @@ func TestCheckpointPreservesRedsAndOngoing(t *testing.T) {
 	}
 	red := types.Action{ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("r", "1"))}
-	e.onAction(red)
+	deliver(e, red)
 	// A locally created action that never came back from the group.
-	e.handleSubmit(submitReq{
+	submitOne(e, submitReq{
 		action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Set("o", "1"))},
 		ch:     make(chan Reply, 1),
 	})
@@ -140,7 +140,7 @@ func TestCheckpointRecordsDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
-	e.onAction(types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate})
+	deliver(e, types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate})
 	if err := e.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCheckpointRecordsDecode(t *testing.T) {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		switch rec.Kind {
-		case recCheckpoint, recRed, recOngoing, recState:
+		case recCheckpoint, recRedBatch, recOngoingBatch, recState:
 		default:
 			t.Fatalf("record %d has unexpected kind %d", i, rec.Kind)
 		}

@@ -11,13 +11,15 @@ import (
 	"evsdb/internal/types"
 )
 
-// One framed codec serves the wire and the WAL, version 2 of each.
-// Version 2 has version 1's layout; what changed is the meaning of the
-// Update and Query bytes inside every action, which moved from JSON to
-// the binary db payload codec (internal/db/codec.go). A version 1 log is
-// refused at recovery and a version 1 peer's frames are dropped as
-// foreign, both with ErrCodecVersion, rather than replayed or applied as
-// aborts.
+// One framed codec serves the wire and the WAL, version 3 of each.
+// Version 3 makes the bundle the only form an action takes: every action
+// multicast is an emBatch of n >= 1, and every red, green and ongoing
+// record is a batch record of n >= 1 (version 2 also had single-action
+// kinds beside them). Inside every action, the Update and Query bytes use
+// the binary db payload codec (internal/db/codec.go), as since version 2.
+// A log of another version is refused at recovery and another version's
+// peer frames are dropped as foreign, both with ErrCodecVersion, rather
+// than replayed or applied as aborts.
 //
 // Every engine message and every log record starts with a three-byte
 // header:
@@ -28,20 +30,20 @@ import (
 //	    instead of being mis-parsed
 //	[2] message kind (engineMsgKind) or record kind (recKind)
 //
-// Hot kinds (emAction, emBatch, emRetrans — every ordered action pays one
-// of these per hop; recRed, recGreen, recOngoing and their batch forms —
-// every action pays each once per replica) use a hand-rolled
-// little-endian binary body built from the helpers below: JSON dominated
-// the submit path's and then the log path's CPU and allocation profile.
-// Rare kinds (emState, emCPC, emSnapshot, recState, recCheckpoint — one
-// per view change, catch-up or sync point) keep JSON bodies behind the
-// same header: they carry maps and nested snapshots where JSON's
-// flexibility matters more than its cost.
+// Hot kinds (emBatch and emRetrans — every ordered action pays one of
+// these per hop; recRedBatch, recGreenBatch and recOngoingBatch — every
+// action pays each once per replica) use a hand-rolled little-endian
+// binary body built from the helpers below: JSON dominated the submit
+// path's and then the log path's CPU and allocation profile. Rare kinds
+// (emState, emCPC, emSnapshot, recState, recCheckpoint — one per view
+// change, catch-up or sync point) keep JSON bodies behind the same
+// header: they carry maps and nested snapshots where JSON's flexibility
+// matters more than its cost.
 const (
 	engineMagic   = 0xEC
-	engineCodecV2 = 2
+	engineCodecV3 = 3
 	walMagic      = 0xE7
-	walCodecV2    = 2
+	walCodecV3    = 3
 )
 
 // ErrCodecVersion marks an engine frame or WAL record written by another
@@ -224,10 +226,8 @@ func appendJSON(buf []byte, v any) []byte {
 
 // appendEngineMsg appends the full framed encoding of m to buf.
 func appendEngineMsg(buf []byte, m engineMsg) []byte {
-	buf = append(buf, engineMagic, engineCodecV2, byte(m.Kind))
+	buf = append(buf, engineMagic, engineCodecV3, byte(m.Kind))
 	switch m.Kind {
-	case emAction:
-		return appendAction(buf, *m.Action)
 	case emBatch:
 		return appendActions(buf, m.Batch)
 	case emRetrans:
@@ -270,7 +270,7 @@ func frameBody(buf []byte, magic, version byte, what string) (byte, []byte, erro
 }
 
 func decodeEngineMsg(buf []byte) (engineMsg, error) {
-	k, rest, err := frameBody(buf, engineMagic, engineCodecV2, "engine frame")
+	k, rest, err := frameBody(buf, engineMagic, engineCodecV3, "engine frame")
 	if err != nil {
 		return engineMsg{}, err
 	}
@@ -279,12 +279,6 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 		return engineMsg{}, fmt.Errorf("core: truncated engine frame (kind %d)", int(kind))
 	}
 	switch kind {
-	case emAction:
-		a, rest, ok := getAction(rest)
-		if !ok || len(rest) != 0 {
-			return bad()
-		}
-		return engineMsg{Kind: emAction, Action: &a}, nil
 	case emBatch:
 		batch, rest, ok := getActions(rest)
 		if !ok || len(rest) != 0 {
@@ -314,16 +308,11 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 }
 
 // appendLogRecord appends the full framed encoding of one WAL record.
-// Single-action kinds carry exactly one element in Actions / IDs.
 func appendLogRecord(buf []byte, rec logRecord) []byte {
-	buf = append(buf, walMagic, walCodecV2, byte(rec.Kind))
+	buf = append(buf, walMagic, walCodecV3, byte(rec.Kind))
 	switch rec.Kind {
-	case recRed, recOngoing:
-		return appendAction(buf, rec.Actions[0])
 	case recRedBatch, recOngoingBatch:
 		return appendActions(buf, rec.Actions)
-	case recGreen:
-		return appendActionID(buf, rec.IDs[0])
 	case recGreenBatch:
 		buf = putU32(buf, uint32(len(rec.IDs)))
 		for _, id := range rec.IDs {
@@ -340,20 +329,14 @@ func appendLogRecord(buf []byte, rec logRecord) []byte {
 }
 
 func decodeLogRecord(buf []byte) (logRecord, error) {
-	k, rest, err := frameBody(buf, walMagic, walCodecV2, "WAL record")
+	k, rest, err := frameBody(buf, walMagic, walCodecV3, "WAL record")
 	if err != nil {
 		return logRecord{}, err
 	}
 	rec, ok := logRecord{Kind: recKind(k)}, false
 	switch rec.Kind {
-	case recRed, recOngoing:
-		rec.Actions = make([]types.Action, 1)
-		rec.Actions[0], rest, ok = getAction(rest)
 	case recRedBatch, recOngoingBatch:
 		rec.Actions, rest, ok = getActions(rest)
-	case recGreen:
-		rec.IDs = make([]types.ActionID, 1)
-		rec.IDs[0], rest, ok = getActionID(rest)
 	case recGreenBatch:
 		var n int
 		if n, rest, ok = getCount(rest, 10); ok { // the smallest action id

@@ -20,8 +20,8 @@ func TestEngineCodecFrameHeader(t *testing.T) {
 	if frame[0] != engineMagic {
 		t.Fatalf("frame[0] = %#x, want magic %#x", frame[0], engineMagic)
 	}
-	if frame[1] != engineCodecV2 {
-		t.Fatalf("frame[1] = %d, want version %d", frame[1], engineCodecV2)
+	if frame[1] != engineCodecV3 {
+		t.Fatalf("frame[1] = %d, want version %d", frame[1], engineCodecV3)
 	}
 	if frame[2] != byte(emCPC) {
 		t.Fatalf("frame[2] = %d, want kind %d", frame[2], emCPC)
@@ -30,7 +30,7 @@ func TestEngineCodecFrameHeader(t *testing.T) {
 
 func TestEngineCodecVersionMismatchIsLoud(t *testing.T) {
 	frame := encodeEngineMsg(engineMsg{Kind: emCPC, CPC: &cpcMsg{Server: "s00"}})
-	frame[1] = engineCodecV2 + 1
+	frame[1] = engineCodecV3 + 1
 	_, err := decodeEngineMsg(frame)
 	if err == nil {
 		t.Fatal("decode accepted a future-version frame")

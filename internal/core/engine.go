@@ -342,8 +342,8 @@ type Engine struct {
 	// green copy skips re-application; inflight routes a same-node retry
 	// of a not-yet-green action to the original's reply.
 	sessions     map[string]*ClientSession
-	eagerApplied map[string]bool
-	inflight     map[inflightKey]types.ActionID
+	eagerApplied map[idemKey]bool
+	inflight     map[idemKey]types.ActionID
 	maxInFlight  int
 	maxBatch     int // actions per multicast and per ongoing record (1 = batching disabled)
 	// Query fast path (§ 6): strict query-only requests in the primary
@@ -357,13 +357,23 @@ type Engine struct {
 	vulnByServer     map[types.ServerID]Vulnerable // post-ComputeKnowledge view
 	exchRound        uint64                        // state-exchange round within this conf (catch-up restarts it)
 	awaitingSnap     bool                          // waiting for a § 5.2 catch-up snapshot
-	liveBuf          []types.Action                // live actions held back during an exchange (see onAction)
+	liveBuf          []types.Action                // live actions held back during an exchange (see onActionBatch)
 	replaying        bool                          // suppress logging/replies during recovery
 	ioFailed         bool                          // stable storage failed; refuse new work
 	obs              *obs.Observer
 	om               *coreObs
 	submitMeta       map[types.ActionID]submitMeta // open latency samples for locally created actions
 	exchStart        time.Time                     // when the current exchange round entered ExchangeStates
+	// scratch holds buffers that every delivery reuses instead of
+	// allocating: markRedBatch's accepted actions, applyGreenBatch's fused
+	// run and its keys, and applyGreenRun's positions, payloads and ids.
+	scratch struct {
+		accepted, run []types.Action
+		runKeys       map[idemKey]bool
+		seqs          []uint64
+		updates       [][]byte
+		ids           []types.ActionID
+	}
 }
 
 // New assembles an engine, optionally recovers it from its log, and
@@ -428,8 +438,8 @@ func newEngine(cfg Config) (*Engine, error) {
 		pendingReply: make(map[types.ActionID][]chan Reply),
 		appliedRed:   make(map[types.ActionID]bool),
 		sessions:     make(map[string]*ClientSession),
-		eagerApplied: make(map[string]bool),
-		inflight:     make(map[inflightKey]types.ActionID),
+		eagerApplied: make(map[idemKey]bool),
+		inflight:     make(map[idemKey]types.ActionID),
 		queryWait:    make(map[types.ActionID][]submitReq),
 		joinWaiters:  make(map[types.ServerID][]chan joinResp),
 		watchers:     make(map[chan struct{}]struct{}),
@@ -786,10 +796,6 @@ func (e *Engine) handleEvent(ev evs.Event) {
 			return // foreign traffic on the group; ignore
 		}
 		switch m.Kind {
-		case emAction:
-			if m.Action != nil {
-				e.onAction(*m.Action)
-			}
 		case emBatch:
 			e.onActionBatch(m.Batch)
 		case emState:
@@ -812,14 +818,10 @@ func (e *Engine) handleEvent(ev evs.Event) {
 	}
 }
 
-// generateBatch multicasts a bundle of actions with Safe delivery (paper
-// "generate action"): one Safe multicast — one position in the total
-// order — for the whole bundle.
+// generateBatch multicasts a bundle of n >= 1 actions with Safe delivery
+// (paper "generate action"): one Safe multicast — one position in the
+// total order — for the whole bundle.
 func (e *Engine) generateBatch(acts []types.Action) {
-	if len(acts) == 1 {
-		_ = multicastMsg(e.gc, engineMsg{Kind: emAction, Action: &acts[0]})
-		return
-	}
 	_ = multicastMsg(e.gc, engineMsg{Kind: emBatch, Batch: acts})
 }
 
@@ -912,12 +914,6 @@ func (e *Engine) collectSubmits(first submitReq) []submitReq {
 	return reqs
 }
 
-// handleSubmit implements the Client req event for a single request (the
-// batch pipeline with a batch of one).
-func (e *Engine) handleSubmit(req submitReq) {
-	e.handleSubmitBatch([]submitReq{req})
-}
-
 // handleSubmitBatch runs admission for each collected submission in
 // order, then logs every action the batch created in ONE WAL append and
 // queues them for the multicast behind the sync covering it: the
@@ -934,7 +930,7 @@ func (e *Engine) handleSubmitBatch(reqs []submitReq) {
 	if len(acts) == 0 {
 		return
 	}
-	e.logActions(acts)
+	e.appendLog(logRecord{Kind: recOngoingBatch, Actions: acts})
 	e.enqueueGenerate(acts)
 }
 
@@ -962,7 +958,7 @@ func (e *Engine) admitSubmit(req submitReq) (types.Action, bool) {
 			req.ch <- dedupReply(kind, ent)
 			return types.Action{}, false
 		}
-		if id, ok := e.inflight[inflightKey{req.action.Client, req.action.ClientSeq}]; ok {
+		if id, ok := e.inflight[idemKey{req.action.Client, req.action.ClientSeq}]; ok {
 			if _, pending := e.pendingReply[id]; pending {
 				e.om.duplicates.Inc()
 				e.obs.Trace.Record(obs.EvDedupHit, 2, 0, 0)
@@ -1032,19 +1028,6 @@ func (e *Engine) createAction(req submitReq) types.Action {
 	return a
 }
 
-// logActions appends the ongoing records for freshly created actions:
-// several actions of one batch share a single record (and, downstream,
-// a single forced write).
-func (e *Engine) logActions(acts []types.Action) {
-	switch len(acts) {
-	case 0:
-	case 1:
-		e.appendLog(logRecord{Kind: recOngoing, Actions: acts[:1]})
-	default:
-		e.appendLog(logRecord{Kind: recOngoingBatch, Actions: acts})
-	}
-}
-
 // handleBuffered drains requests buffered during exchange and
 // construction (paper Handle_buff_requests): one forced write covers the
 // batch, and flush multicasts it in MaxBatchActions-sized bundles.
@@ -1058,7 +1041,7 @@ func (e *Engine) handleBuffered() {
 	for _, req := range batch {
 		acts = append(acts, e.createAction(req))
 	}
-	e.logActions(acts)
+	e.appendLog(logRecord{Kind: recOngoingBatch, Actions: acts})
 	e.enqueueGenerate(acts)
 }
 

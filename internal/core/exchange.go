@@ -168,13 +168,13 @@ func (e *Engine) onRetrans(r retransMsg) {
 	if e.st != ExchangeStates && e.st != ExchangeActions && e.st != NonPrim {
 		// Stale retransmission from a previous exchange; marking red is
 		// always safe if it extends the FIFO cut.
-		e.markRed(r.Action, false)
+		e.markRedBatch([]types.Action{r.Action}, false)
 		return
 	}
 	if r.Green {
 		e.acceptGreenRetrans(r)
 	} else {
-		e.markRed(r.Action, false)
+		e.markRedBatch([]types.Action{r.Action}, false)
 	}
 	e.maybeEndRetrans()
 }
@@ -203,14 +203,13 @@ func (e *Engine) acceptGreenRetrans(r retransMsg) {
 	}
 }
 
+// applyGreenRetrans marks a green retransmission red and promotes it. An
+// action that cannot extend its creator's FIFO cut and is not queued is
+// dropped (it will be re-requested).
 func (e *Engine) applyGreenRetrans(a types.Action) {
-	if !e.markRed(a, false) && !e.queue.has(a.ID) {
-		return // cannot extend the FIFO cut: drop (will be re-requested)
-	}
-	if e.queue.isGreen(a.ID) {
-		return
-	}
-	e.applyGreen(a)
+	one := []types.Action{a}
+	e.markRedBatch(one, false)
+	e.applyGreenBatch(one)
 }
 
 // maybeEndRetrans checks whether this member holds everything the plan

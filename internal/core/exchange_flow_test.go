@@ -15,7 +15,7 @@ func runToPrimWithActions(t *testing.T, id string, servers []string, n int) (*En
 	e, gc, _ := testEngine(t, id, servers...)
 	exchangeToPrim(t, e, gc, conf(1, servers...), nil)
 	for i := 1; i <= n; i++ {
-		e.onAction(types.Action{
+		deliver(e, types.Action{
 			ID:   types.ActionID{Server: types.ServerID(id), Index: uint64(i)},
 			Type: types.ActionUpdate,
 			Update: db.EncodeUpdate(
@@ -185,7 +185,7 @@ func TestBufferedClientRequestsFlushAfterExchange(t *testing.T) {
 	e.onRegConf(c1)
 	// Mid-exchange: submissions buffer.
 	for i := 0; i < 3; i++ {
-		e.handleSubmit(submitReq{
+		submitOne(e, submitReq{
 			action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Set("x", "y"))},
 			ch:     make(chan Reply, 1),
 		})
@@ -236,7 +236,7 @@ func TestBufferedClientRequestsFlushAfterExchange(t *testing.T) {
 func TestJoinLeaveHandlersDirect(t *testing.T) {
 	e, gc, _ := testEngine(t, "a", "a")
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
-	e.onAction(types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
+	deliver(e, types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("seed", "1"))})
 	e.actionIndex = 1
 	gc.take()
@@ -247,15 +247,15 @@ func TestJoinLeaveHandlersDirect(t *testing.T) {
 	msgs := gc.take()
 	var joinAct *types.Action
 	for _, m := range msgs {
-		if m.Kind == emAction && m.Action.Type == types.ActionJoin {
-			joinAct = m.Action
+		if m.Kind == emBatch && m.Batch[0].Type == types.ActionJoin {
+			joinAct = &m.Batch[0]
 		}
 	}
 	if joinAct == nil || joinAct.Target != "z" {
 		t.Fatalf("no join action: %+v", msgs)
 	}
 	// Deliver it (singleton primary: immediately green).
-	e.onAction(*joinAct)
+	deliver(e, *joinAct)
 	select {
 	case resp := <-ch:
 		if resp.err != nil {
@@ -293,14 +293,14 @@ func TestJoinLeaveHandlersDirect(t *testing.T) {
 	}
 	var leaveAct *types.Action
 	for _, m := range gc.take() {
-		if m.Kind == emAction && m.Action.Type == types.ActionLeave {
-			leaveAct = m.Action
+		if m.Kind == emBatch && m.Batch[0].Type == types.ActionLeave {
+			leaveAct = &m.Batch[0]
 		}
 	}
 	if leaveAct == nil || leaveAct.Target != "a" {
 		t.Fatal("no leave action generated")
 	}
-	e.onAction(*leaveAct)
+	deliver(e, *leaveAct)
 	if !e.left {
 		t.Fatal("engine did not mark itself departed")
 	}
@@ -329,7 +329,7 @@ func TestQueryFastPath(t *testing.T) {
 	// No pending local actions: the query answers immediately and sends
 	// no group traffic.
 	ch := make(chan Reply, 1)
-	e.handleSubmit(submitReq{
+	submitOne(e, submitReq{
 		action: types.Action{Type: types.ActionQuery, Semantics: types.SemStrict, Query: db.Get("x")},
 		ch:     ch,
 	})
@@ -347,12 +347,12 @@ func TestQueryFastPath(t *testing.T) {
 
 	// With a pending local update, the query waits for it.
 	updCh := make(chan Reply, 1)
-	e.handleSubmit(submitReq{
+	submitOne(e, submitReq{
 		action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Set("x", "1"))},
 		ch:     updCh,
 	})
 	qCh := make(chan Reply, 1)
-	e.handleSubmit(submitReq{
+	submitOne(e, submitReq{
 		action: types.Action{Type: types.ActionQuery, Semantics: types.SemStrict, Query: db.Get("x")},
 		ch:     qCh,
 	})
@@ -367,8 +367,8 @@ func TestQueryFastPath(t *testing.T) {
 		msgs := gc.take()
 		done := false
 		for _, m := range msgs {
-			if m.Kind == emAction {
-				e.onAction(*m.Action)
+			if m.Kind == emBatch {
+				deliver(e, m.Batch...)
 				done = true
 			}
 		}

@@ -119,7 +119,7 @@ func TestEngineRandomEventSequences(t *testing.T) {
 					e.onCPC(cpcMsg{Server: m, Conf: cur.ID})
 					what = "cpc"
 				case 3: // client submit
-					e.handleSubmit(submitReq{
+					submitOne(e, submitReq{
 						action: types.Action{Type: types.ActionUpdate,
 							Update: db.EncodeUpdate(db.Set("k", "v"))},
 						ch: make(chan Reply, 1),
@@ -128,14 +128,14 @@ func TestEngineRandomEventSequences(t *testing.T) {
 					// Self-generated actions come back through the group;
 					// deliver anything the engine multicast.
 					for _, m := range gc.take() {
-						if m.Kind == emAction {
-							e.onAction(*m.Action)
+						if m.Kind == emBatch {
+							deliver(e, m.Batch...)
 						}
 					}
 				default: // a peer's action, FIFO per creator
 					s := servers[1+rng.Intn(3)]
 					nextIdx[s]++
-					e.onAction(types.Action{
+					deliver(e, types.Action{
 						ID:   types.ActionID{Server: types.ServerID(s), Index: nextIdx[s]},
 						Type: types.ActionUpdate,
 						Update: db.EncodeUpdate(

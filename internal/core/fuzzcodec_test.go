@@ -12,13 +12,13 @@ import (
 // never panic — and valid messages must round-trip through the codec with
 // their kind and payload presence intact.
 func FuzzDecodeEngineMsg(f *testing.F) {
-	f.Add(encodeEngineMsg(engineMsg{Kind: emAction, Action: &types.Action{
+	f.Add(encodeEngineMsg(engineMsg{Kind: emBatch, Batch: []types.Action{{
 		ID:        types.ActionID{Server: "s00", Index: 3},
 		Type:      types.ActionUpdate,
 		Semantics: types.SemStrict,
 		GreenLine: 7,
 		Update:    db.EncodeUpdate(db.Set("a", "1")),
-	}}))
+	}}}))
 	f.Add(encodeEngineMsg(engineMsg{Kind: emState, State: &stateMsg{
 		Server: "s01", Conf: types.ConfID{Counter: 4, Proposer: "s00"}, Round: 1,
 		RedCut:        map[types.ServerID]uint64{"s00": 2, "s01": 5},
@@ -82,8 +82,7 @@ func FuzzDecodeEngineMsg(f *testing.F) {
 		if again.Kind != m.Kind {
 			t.Fatalf("kind changed across round-trip: %v -> %v", m.Kind, again.Kind)
 		}
-		if (m.Action == nil) != (again.Action == nil) ||
-			(m.State == nil) != (again.State == nil) ||
+		if (m.State == nil) != (again.State == nil) ||
 			(m.CPC == nil) != (again.CPC == nil) ||
 			(m.Retrans == nil) != (again.Retrans == nil) ||
 			(m.Snap == nil) != (again.Snap == nil) ||

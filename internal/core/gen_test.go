@@ -46,16 +46,12 @@ func sentIndices(gc *fakeGC) [][]uint64 {
 	defer gc.mu.Unlock()
 	var out [][]uint64
 	for _, m := range gc.sent {
-		var idx []uint64
-		switch m.Kind {
-		case emAction:
-			idx = append(idx, m.Action.ID.Index)
-		case emBatch:
-			for _, a := range m.Batch {
-				idx = append(idx, a.ID.Index)
-			}
-		default:
+		if m.Kind != emBatch {
 			continue
+		}
+		var idx []uint64
+		for _, a := range m.Batch {
+			idx = append(idx, a.ID.Index)
 		}
 		out = append(out, idx)
 	}

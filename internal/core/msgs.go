@@ -57,13 +57,14 @@ type Yellow struct {
 
 type engineMsgKind int
 
+// Kind 1 is unused: the codec's version 2 gave it to a single-action
+// frame, and the other kinds keep their numbers.
 const (
-	emAction engineMsgKind = iota + 1
-	emState
+	emState engineMsgKind = iota + 2
 	emCPC
 	emRetrans
 	emSnapshot
-	// emBatch carries an ActionBatch: several actions created at one
+	// emBatch carries an ActionBatch of n >= 1 actions created at one
 	// server, coalesced into a single Safe multicast. The batch occupies
 	// one position in the total order; receivers unpack it and process
 	// the inner actions in batch order, so every server observes the same
@@ -134,7 +135,6 @@ type retransMsg struct {
 // bodies for the rare membership/exchange kinds).
 type engineMsg struct {
 	Kind    engineMsgKind  `json:"kind"`
-	Action  *types.Action  `json:"action,omitempty"`
 	Batch   []types.Action `json:"batch,omitempty"`
 	State   *stateMsg      `json:"state,omitempty"`
 	CPC     *cpcMsg        `json:"cpc,omitempty"`

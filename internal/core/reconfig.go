@@ -177,7 +177,7 @@ func (e *Engine) applyLeave(a types.Action) {
 			}
 			delete(e.pendingReply, id)
 		}
-		e.inflight = make(map[inflightKey]types.ActionID)
+		e.inflight = make(map[idemKey]types.ActionID)
 	}
 }
 
@@ -205,7 +205,7 @@ func (e *Engine) handleJoinRequest(req joinReq) {
 		}
 		a.GreenLine = e.queue.greenCount()
 		e.ongoing[a.ID] = a
-		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
+		e.appendLog(logRecord{Kind: recOngoingBatch, Actions: []types.Action{a}})
 		e.syncLog("join")
 		e.joinWaiters[req.joiner] = append(e.joinWaiters[req.joiner], req.ch)
 		e.generateSynced(a)
@@ -243,7 +243,7 @@ func (e *Engine) handleLeave(ch chan error) {
 		}
 		a.GreenLine = e.queue.greenCount()
 		e.ongoing[a.ID] = a
-		e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{a}})
+		e.appendLog(logRecord{Kind: recOngoingBatch, Actions: []types.Action{a}})
 		e.syncLog("leave")
 		e.generateSynced(a)
 		ch <- nil

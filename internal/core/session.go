@@ -114,12 +114,6 @@ func dedupReply(kind dedupKind, ent DedupEntry) Reply {
 	}
 }
 
-// eagerKey names a relaxed-semantics idempotency key applied eagerly
-// while red (map key for Engine.eagerApplied).
-func eagerKey(client string, seq uint64) string {
-	return fmt.Sprintf("%s\x00%d", client, seq)
-}
-
 // cloneSessions deep-copies the dedup table (snapshot construction).
 func cloneSessions(in map[string]*ClientSession) map[string]*ClientSession {
 	if len(in) == 0 {
@@ -132,10 +126,12 @@ func cloneSessions(in map[string]*ClientSession) map[string]*ClientSession {
 	return out
 }
 
-// inflightKey tracks a locally generated, not yet green keyed action so a
-// same-node retry attaches to the pending reply instead of generating a
-// second action.
-type inflightKey struct {
+// idemKey is a keyed action's idempotency key. It routes a same-node
+// retry of a not yet green action to the original's pending reply
+// (Engine.inflight), marks a relaxed key applied eagerly while red
+// (Engine.eagerApplied), and keeps two copies of one key out of a fused
+// green run.
+type idemKey struct {
 	Client string
 	Seq    uint64
 }
@@ -143,6 +139,6 @@ type inflightKey struct {
 func (e *Engine) trackInflight(a types.Action, ch chan Reply) {
 	e.pendingReply[a.ID] = append(e.pendingReply[a.ID], ch)
 	if a.Client != "" {
-		e.inflight[inflightKey{a.Client, a.ClientSeq}] = a.ID
+		e.inflight[idemKey{a.Client, a.ClientSeq}] = a.ID
 	}
 }

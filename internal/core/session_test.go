@@ -14,7 +14,7 @@ import (
 func submitKeyed(e *Engine, client string, seq uint64, update []byte) (chan Reply, types.Action) {
 	before := e.actionIndex
 	ch := make(chan Reply, 1)
-	e.handleSubmit(submitReq{
+	submitOne(e, submitReq{
 		action: types.Action{
 			Type:      types.ActionUpdate,
 			Client:    client,
@@ -55,7 +55,7 @@ func TestKeyedRetryAfterGreenReturnsOriginalReply(t *testing.T) {
 	if a.ID.Zero() {
 		t.Fatal("no action generated for fresh key")
 	}
-	e.onAction(a)
+	deliver(e, a)
 	first := mustReply(t, ch)
 	if first.Err != "" || first.GreenSeq != 1 {
 		t.Fatalf("first reply %+v", first)
@@ -89,7 +89,7 @@ func TestKeyedRetryWhileInFlightAttaches(t *testing.T) {
 	if !a2.ID.Zero() {
 		t.Fatal("in-flight retry generated a second action")
 	}
-	e.onAction(a)
+	deliver(e, a)
 	r1, r2 := mustReply(t, ch1), mustReply(t, ch2)
 	if r1.GreenSeq != r2.GreenSeq || r1.GreenSeq != 1 {
 		t.Fatalf("replies disagree: %+v vs %+v", r1, r2)
@@ -108,11 +108,11 @@ func TestDuplicateGreenAcrossActionIDs(t *testing.T) {
 	exchangeToPrim(t, e, gc, c, nil)
 
 	upd := db.EncodeUpdate(db.Add("ctr", 1))
-	e.onAction(types.Action{
+	deliver(e, types.Action{
 		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
 		Client: "c1", ClientSeq: 3, Update: upd,
 	})
-	e.onAction(types.Action{
+	deliver(e, types.Action{
 		ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate,
 		Client: "c1", ClientSeq: 3, Update: upd,
 	})
@@ -207,7 +207,7 @@ func TestSnapshotCarriesSessions(t *testing.T) {
 	e, gc, _ := testEngine(t, "a", "a")
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
 	ch, a := submitKeyed(e, "c9", 4, db.EncodeUpdate(db.Add("ctr", 1)))
-	e.onAction(a)
+	deliver(e, a)
 	orig := mustReply(t, ch)
 
 	snap := e.buildJoinSnapshot()
@@ -230,15 +230,12 @@ func TestSnapshotCarriesSessions(t *testing.T) {
 	}
 }
 
-// TestRelaxedEagerRetryAcrossIDs: a relaxed-semantics key applied
-// eagerly while red under one action id is not re-applied when a second
-// copy (different id, same key) arrives, nor when either copy greens.
-func TestRelaxedEagerRetryAcrossIDs(t *testing.T) {
-	e, gc, _ := testEngine(t, "a", "a", "b", "c")
-	c := conf(1, "a", "b", "c")
-	// Settle in NonPrim: a vulnerable peer blocks the quorum (same setup
-	// as TestVulnerablePeerBlocksQuorum), so relaxed actions apply eagerly
-	// while red.
+// settleNonPrim takes e through an exchange in c that ends in NonPrim: a
+// vulnerable peer blocks the quorum (same setup as
+// TestVulnerablePeerBlocksQuorum), so relaxed actions apply eagerly while
+// red.
+func settleNonPrim(t *testing.T, e *Engine, gc *fakeGC, c types.Configuration) {
+	t.Helper()
 	e.onRegConf(c)
 	var mine *stateMsg
 	for _, m := range gc.take() {
@@ -260,17 +257,60 @@ func TestRelaxedEagerRetryAcrossIDs(t *testing.T) {
 	if e.st != NonPrim {
 		t.Fatalf("state %v, want NonPrim", e.st)
 	}
+}
 
+// relaxedRetryCopies delivers two red copies of one relaxed keyed Add,
+// under the action ids a:1 and b:1 (a cross-component retry).
+func relaxedRetryCopies(e *Engine) {
 	upd := db.EncodeUpdate(db.Add("ctr", 1))
-	e.onAction(types.Action{
+	deliver(e, types.Action{
 		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
 		Semantics: types.SemCommutative, Client: "c1", ClientSeq: 2, Update: upd,
 	})
-	e.onAction(types.Action{
+	deliver(e, types.Action{
 		ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate,
 		Semantics: types.SemCommutative, Client: "c1", ClientSeq: 2, Update: upd,
 	})
+}
+
+// TestRelaxedEagerRetryAcrossIDs: a relaxed-semantics key applied
+// eagerly while red under one action id is not re-applied when a second
+// copy (different id, same key) arrives, nor when either copy greens.
+func TestRelaxedEagerRetryAcrossIDs(t *testing.T) {
+	e, gc, _ := testEngine(t, "a", "a", "b", "c")
+	settleNonPrim(t, e, gc, conf(1, "a", "b", "c"))
+	relaxedRetryCopies(e)
 	if res, _ := e.db.QueryDirty(db.Get("ctr")); res.Value != "1" {
 		t.Fatalf("eager counter %q, want 1", res.Value)
+	}
+}
+
+// TestReplayAppliesRelaxedRetryOnce: WAL replay redoes eager applies under
+// the live rule, so the second red copy of a relaxed key is skipped there
+// too. An engine recovered from the log of TestRelaxedEagerRetryAcrossIDs
+// must hold the key's effect once, after replay and after both copies
+// turn green.
+func TestReplayAppliesRelaxedRetryOnce(t *testing.T) {
+	e, gc, log := testEngine(t, "a", "a", "b", "c")
+	settleNonPrim(t, e, gc, conf(1, "a", "b", "c"))
+	relaxedRetryCopies(e)
+
+	gc = newFakeGC()
+	r, err := newEngine(Config{ID: "a", Servers: []types.ServerID{"a", "b", "c"}, GC: gc, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.recover(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := r.db.QueryDirty(db.Get("ctr")); res.Value != "1" {
+		t.Fatalf("after replay ctr=%q, want 1", res.Value)
+	}
+	exchangeToPrim(t, r, gc, conf(2, "a", "b", "c"), nil)
+	if r.queue.greenCount() != 2 {
+		t.Fatalf("green count %d, want 2", r.queue.greenCount())
+	}
+	if res, _ := r.db.QueryGreen(db.Get("ctr")); res.Value != "1" {
+		t.Fatalf("after both copies turned green ctr=%q, want 1", res.Value)
 	}
 }

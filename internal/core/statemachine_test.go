@@ -67,6 +67,13 @@ func testEngine(t *testing.T, id string, servers ...string) (*Engine, *fakeGC, *
 	return e, gc, log
 }
 
+// deliver hands acts to the engine as one delivered bundle, the only
+// form an action takes on the wire.
+func deliver(e *Engine, acts ...types.Action) { e.onActionBatch(acts) }
+
+// submitOne runs one client request through the submit path.
+func submitOne(e *Engine, req submitReq) { e.handleSubmitBatch([]submitReq{req}) }
+
 func conf(counter uint64, members ...string) types.Configuration {
 	c := types.Configuration{ID: types.ConfID{Counter: counter, Proposer: types.ServerID(members[0])}}
 	for _, m := range members {
@@ -86,7 +93,7 @@ func transConf(c types.Configuration, members ...string) types.Configuration {
 // exchangeToPrim walks an engine through a full successful exchange for
 // the given configuration, supplying the peers' state/CPC messages. Peer
 // state messages are "empty" (no history) unless provided.
-func exchangeToPrim(t *testing.T, e *Engine, gc *fakeGC, c types.Configuration, peerStates map[types.ServerID]stateMsg) {
+func exchangeToPrim(t testing.TB, e *Engine, gc *fakeGC, c types.Configuration, peerStates map[types.ServerID]stateMsg) {
 	t.Helper()
 	e.onRegConf(c)
 	if e.st != ExchangeStates {
@@ -148,7 +155,7 @@ func TestGreenActionAppliesInRegPrim(t *testing.T) {
 		Type:   types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("k", "v")),
 	}
-	e.onAction(a)
+	deliver(e, a)
 	if e.queue.greenCount() != 1 {
 		t.Fatalf("green count %d", e.queue.greenCount())
 	}
@@ -170,7 +177,7 @@ func TestTransPrimMarksYellowAndInstallPromotes(t *testing.T) {
 	}
 	a := types.Action{ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("y", "1"))}
-	e.onAction(a)
+	deliver(e, a)
 	if len(e.yellow.Set) != 1 || e.yellow.Set[0] != a.ID {
 		t.Fatalf("yellow set: %+v", e.yellow)
 	}
@@ -204,7 +211,7 @@ func TestYellowPromotedFirstOnInstall(t *testing.T) {
 	e.onTransConf(transConf(c1, "a", "b"))
 	y1 := types.Action{ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("order", "yellow-first"))}
-	e.onAction(y1)
+	deliver(e, y1)
 
 	// Next regular configuration: {a,b} — a majority of the last primary
 	// {a,b,c}. Peer b reports the same yellow set.
@@ -309,7 +316,7 @@ func TestConstructInterruptedUnThenActionInstalls(t *testing.T) {
 	// An action delivered in Un proves some server installed and moved on
 	// (paper transition 1b): install and join it in TransPrim.
 	a := types.Action{ID: types.ActionID{Server: "b", Index: 1}, Type: types.ActionUpdate}
-	e.onAction(a)
+	deliver(e, a)
 	if e.st != TransPrim {
 		t.Fatalf("state %v, want TransPrim", e.st)
 	}
@@ -532,7 +539,7 @@ func TestRecoveryRestoresGreensAndOngoing(t *testing.T) {
 	}
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
 	for i := uint64(1); i <= 3; i++ {
-		e.onAction(types.Action{
+		deliver(e, types.Action{
 			ID: types.ActionID{Server: "a", Index: i}, Type: types.ActionUpdate,
 			Update: db.EncodeUpdate(db.Add("n", 1)),
 		})
@@ -542,7 +549,7 @@ func TestRecoveryRestoresGreensAndOngoing(t *testing.T) {
 	// multicast reached anyone): recovery must re-mark it red.
 	orphan := types.Action{ID: types.ActionID{Server: "a", Index: 4}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Add("n", 10))}
-	e.appendLog(logRecord{Kind: recOngoing, Actions: []types.Action{orphan}})
+	e.appendLog(logRecord{Kind: recOngoingBatch, Actions: []types.Action{orphan}})
 	e.syncLog("test")
 
 	// Recover into a fresh engine on the same (surviving) log.
@@ -585,7 +592,7 @@ func TestRecoveryLosesUnsyncedTail(t *testing.T) {
 	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
 	// Install synced the state record. A green action applied afterwards
 	// without a sync is lost by the crash.
-	e.onAction(types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
+	deliver(e, types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
 		Update: db.EncodeUpdate(db.Set("lost", "yes"))})
 	log.Crash()
 

@@ -17,6 +17,10 @@ import (
 	"evsdb/internal/types"
 )
 
+// numRecKinds counts the WAL record kinds, recState through
+// recOngoingBatch.
+const numRecKinds = int(recOngoingBatch-recState) + 1
+
 // walSpecimens returns one record of every kind, each field the kind
 // carries set to something a decoder could get wrong. The name is the
 // kind's seed-corpus file under testdata/fuzz/FuzzWALRecord.
@@ -36,11 +40,8 @@ func walSpecimens() map[string]logRecord {
 	bare := types.Action{ID: types.ActionID{Server: "s01", Index: 1}, Type: types.ActionJoin, Target: "s05"}
 	ids := []types.ActionID{full.ID, bare.ID, {Server: "", Index: 0}}
 	return map[string]logRecord{
-		"red":          {Kind: recRed, Actions: []types.Action{full}},
 		"redBatch":     {Kind: recRedBatch, Actions: []types.Action{full, bare}},
-		"green":        {Kind: recGreen, IDs: ids[:1]},
 		"greenBatch":   {Kind: recGreenBatch, IDs: ids},
-		"ongoing":      {Kind: recOngoing, Actions: []types.Action{bare}},
 		"ongoingBatch": {Kind: recOngoingBatch, Actions: []types.Action{bare, full}},
 		"state": {Kind: recState, State: &persistState{
 			ActionIndex: 7, AttemptIndex: 2,
@@ -82,16 +83,16 @@ func readCorpusFile(t *testing.T, path string) []byte {
 
 // TestWALRecordRoundTrip: every kind decodes to what was encoded and
 // re-encodes to the same bytes, and those bytes are the committed seed
-// corpus — format v2 cannot drift without this test (and walCodecV2)
+// corpus — format v3 cannot drift without this test (and walCodecV3)
 // being touched.
 func TestWALRecordRoundTrip(t *testing.T) {
 	specimens := walSpecimens()
-	if len(specimens) != int(recOngoingBatch) {
-		t.Fatalf("%d specimens for %d record kinds", len(specimens), recOngoingBatch)
+	if len(specimens) != numRecKinds {
+		t.Fatalf("%d specimens for %d record kinds", len(specimens), numRecKinds)
 	}
 	for name, rec := range specimens {
 		frame := appendLogRecord(nil, rec)
-		if frame[0] != walMagic || frame[1] != walCodecV2 || frame[2] != byte(rec.Kind) {
+		if frame[0] != walMagic || frame[1] != walCodecV3 || frame[2] != byte(rec.Kind) {
 			t.Fatalf("%s: header % x", name, frame[:3])
 		}
 		got, err := decodeLogRecord(frame)
@@ -107,7 +108,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		path := filepath.Join("testdata", "fuzz", "FuzzWALRecord", "kind-"+name)
 		if seed := readCorpusFile(t, path); !bytes.Equal(seed, frame) {
 			t.Fatalf("%s holds a different frame than the encoder writes; if the format changed on purpose, "+
-				"bump walCodecV2 and replace the file's value with\n[]byte(%q)", path, frame)
+				"bump walCodecV3 and replace the file's value with\n[]byte(%q)", path, frame)
 		}
 	}
 }
@@ -127,7 +128,7 @@ func TestWALRecordRejectsDamage(t *testing.T) {
 			bad := append([]byte(nil), frame...)
 			bad[i] ^= 0xFF
 			if i == 1 {
-				bad[i] = walCodecV2 + 1
+				bad[i] = walCodecV3 + 1
 			}
 			got, err := decodeLogRecord(bad)
 			if err == nil || !strings.Contains(err.Error(), want) || !reflect.DeepEqual(got, logRecord{}) {
@@ -142,7 +143,7 @@ func TestWALRecordRejectsDamage(t *testing.T) {
 	if _, err := decodeLogRecord(encodeEngineMsg(codecSpecimen())); err == nil {
 		t.Fatal("engine frame decoded as a WAL record")
 	}
-	if _, err := decodeEngineMsg(appendLogRecord(nil, walSpecimens()["red"])); err == nil {
+	if _, err := decodeEngineMsg(appendLogRecord(nil, walSpecimens()["redBatch"])); err == nil {
 		t.Fatal("WAL record decoded as an engine frame")
 	}
 }
@@ -154,7 +155,7 @@ func TestWALRecordRejectsDamage(t *testing.T) {
 // themselves.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte(`{"t":"red","action":{"id":{"server":"s00","index":1}}}`))
-	f.Add([]byte{walMagic, walCodecV2})
+	f.Add([]byte{walMagic, walCodecV3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeLogRecord(data)
 		if err != nil {
@@ -196,12 +197,12 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 		}
 	}
 	exchangeToPrim(t, e, gc, conf(1, "a", "b", "c"), nil)
-	e.onActionBatch([]types.Action{update("b", 1, "x"), update("b", 2, "y"), update("b", 3, "x")})
+	deliver(e, update("b", 1, "x"), update("b", 2, "y"), update("b", 3, "x"))
 	if err := e.checkpoint(); err != nil { // checkpoint + state replace the history
 		t.Fatal(err)
 	}
-	e.onAction(update("c", 1, "x"))                                           // red + green
-	e.onActionBatch([]types.Action{update("b", 4, "y"), update("b", 5, "z")}) // redBatch + greenBatch
+	deliver(e, update("c", 1, "x"))                      // redBatch + greenBatch of one
+	deliver(e, update("b", 4, "y"), update("b", 5, "z")) // redBatch + greenBatch of two
 	// Alone in a new configuration: no quorum, deliveries stay red.
 	e.onRegConf(conf(2, "a"))
 	for _, m := range gc.take() {
@@ -212,14 +213,14 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 	if e.st != NonPrim {
 		t.Fatalf("state %v (1 of 3 must not be primary)", e.st)
 	}
-	e.onAction(update("b", 6, "x"))
-	e.onActionBatch([]types.Action{update("c", 2, "y"), update("c", 3, "z")})
+	deliver(e, update("b", 6, "x"))
+	deliver(e, update("c", 2, "y"), update("c", 3, "z"))
 	submit := func(key string) submitReq {
 		return submitReq{action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Add(key, 1))},
 			ch: make(chan Reply, 1)}
 	}
-	e.handleSubmit(submit("o1"))                                 // ongoing
-	e.handleSubmitBatch([]submitReq{submit("o2"), submit("o3")}) // ongoingBatch
+	submitOne(e, submit("o1"))                                   // ongoingBatch of one
+	e.handleSubmitBatch([]submitReq{submit("o2"), submit("o3")}) // ongoingBatch of two
 	e.syncLog("test")
 	log.Crash()
 
@@ -232,8 +233,8 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 		}
 		kinds[rec.Kind]++
 	}
-	if len(kinds) != int(recOngoingBatch) {
-		t.Fatalf("log holds kinds %v, want all %d", kinds, recOngoingBatch)
+	if len(kinds) != numRecKinds {
+		t.Fatalf("log holds kinds %v, want all %d", kinds, numRecKinds)
 	}
 
 	cfg.GC = newFakeGC()
@@ -281,7 +282,7 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 // replayed as something it is not.
 func TestRecoverRejectsJSONEraLog(t *testing.T) {
 	log := storage.NewMemLog(storage.Options{Policy: storage.SyncNone})
-	good := appendLogRecord(nil, walSpecimens()["ongoing"])
+	good := appendLogRecord(nil, walSpecimens()["ongoingBatch"])
 	for _, rec := range [][]byte{good, []byte(`{"t":"red","action":{"id":{"server":"b","index":1},"type":1}}`)} {
 		if err := log.Append(rec); err != nil {
 			t.Fatal(err)
@@ -299,29 +300,28 @@ func TestRecoverRejectsJSONEraLog(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsV1Log: a version 1 log has version 2's layout, but the
-// updates inside its actions are in the retired JSON payload format.
-// Recovery must refuse it with ErrCodecVersion, naming the record, rather
-// than replay actions every replica would now abort.
-func TestRecoverRejectsV1Log(t *testing.T) {
+// TestRecoverRejectsV2Log: a version 2 log may hold single-action
+// records, a kind version 3 no longer has. Recovery must refuse it with
+// ErrCodecVersion, naming the record, rather than replay it.
+func TestRecoverRejectsV2Log(t *testing.T) {
 	log := storage.NewMemLog(storage.Options{Policy: storage.SyncNone})
-	v1 := appendLogRecord(nil, logRecord{Kind: recOngoing, Actions: []types.Action{{
+	// A version 2 single-action ongoing record: header, then one action.
+	v2 := appendAction([]byte{walMagic, 2, 3}, types.Action{
 		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
-		Update: []byte(`{"ops":[{"kind":"set","key":"k","value":"v"}]}`),
-	}}})
-	v1[1] = 1
-	if err := log.Append(v1); err != nil {
+		Update: db.EncodeUpdate(db.Set("k", "v")),
+	})
+	if err := log.Append(v2); err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{ID: "a", Servers: []types.ServerID{"a"}, GC: newFakeGC(), Log: log, Recover: true})
 	if err == nil {
 		e.Close()
-		t.Fatal("recovery replayed a version 1 log")
+		t.Fatal("recovery replayed a version 2 log")
 	}
 	if !errors.Is(err, ErrCodecVersion) {
 		t.Fatalf("error %q does not wrap ErrCodecVersion", err)
 	}
-	for _, want := range []string{"record 0", "frame v1", "speaks v2"} {
+	for _, want := range []string{"record 0", "frame v2", "speaks v3"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
 		}
@@ -366,7 +366,7 @@ func TestRecoverTwiceKeepsRevivedGreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.handleSubmit(submitReq{action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Add("k", 1))},
+	submitOne(e, submitReq{action: types.Action{Type: types.ActionUpdate, Update: db.EncodeUpdate(db.Add("k", 1))},
 		ch: make(chan Reply, 1)})
 	e.syncLog("test")
 	log.Crash() // a:1 is ongoing only: never delivered

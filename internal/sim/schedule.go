@@ -67,6 +67,11 @@ type Schedule struct {
 	Retry bool
 	// Batch marks schedules produced by GenerateBatch (same purpose).
 	Batch bool
+	// Relaxed submits every write with commutative semantics (paper § 6)
+	// instead of strict: outside a primary each write applies eagerly
+	// while red and answers at once, and its idempotency key must still
+	// apply exactly once across retries, crashes and replay.
+	Relaxed bool
 }
 
 // crashPoints are the barrier names StepCrashAt can target (see the

@@ -17,7 +17,8 @@ func Shrink(sched *Schedule, opts Options, budget int) *Schedule {
 		budget--
 		return Run(s, opts).Failed()
 	}
-	cur := &Schedule{Seed: sched.Seed, Nodes: sched.Nodes, Steps: append([]Step(nil), sched.Steps...)}
+	cur := *sched
+	cur.Steps = append([]Step(nil), sched.Steps...)
 	chunk := len(cur.Steps) / 2
 	if chunk < 1 {
 		chunk = 1
@@ -25,14 +26,14 @@ func Shrink(sched *Schedule, opts Options, budget int) *Schedule {
 	for chunk >= 1 && budget > 0 {
 		shrunk := false
 		for start := 0; start < len(cur.Steps) && budget > 0; {
-			cand := &Schedule{Seed: cur.Seed, Nodes: cur.Nodes}
-			cand.Steps = append(cand.Steps, cur.Steps[:start]...)
+			cand := cur
+			cand.Steps = append([]Step(nil), cur.Steps[:start]...)
 			end := start + chunk
 			if end > len(cur.Steps) {
 				end = len(cur.Steps)
 			}
 			cand.Steps = append(cand.Steps, cur.Steps[end:]...)
-			if len(cand.Steps) < len(cur.Steps) && fails(cand) {
+			if len(cand.Steps) < len(cur.Steps) && fails(&cand) {
 				cur = cand
 				shrunk = true
 				// Retry the same offset: the next chunk slid into place.
@@ -44,7 +45,7 @@ func Shrink(sched *Schedule, opts Options, budget int) *Schedule {
 			chunk /= 2
 		}
 	}
-	return cur
+	return &cur
 }
 
 // ReplayStable re-runs a schedule n times and reports how many runs

@@ -333,6 +333,10 @@ func probeStatus(eng *core.Engine) string {
 
 // seeded wraps a failure so every report carries the replay seed.
 func (r *runner) seeded(err error) error {
+	if r.sched.Relaxed {
+		return fmt.Errorf("seed %d: %w (replay: go test ./internal/sim -run 'TestSimRelaxedCorpus/seed=%d$')",
+			r.sched.Seed, err, r.sched.Seed)
+	}
 	flag := ""
 	if r.sched.Retry {
 		flag = " -retry"
@@ -407,7 +411,7 @@ func (r *runner) apply(st Step) bool {
 		if rep == nil {
 			return false
 		}
-		ch, err := rep.Engine.SubmitKeyedAsync(sub.client, sub.seq, sub.update, nil, types.SemStrict)
+		ch, err := rep.Engine.SubmitKeyedAsync(sub.client, sub.seq, sub.update, nil, r.semantics())
 		if err != nil {
 			return false
 		}
@@ -486,8 +490,8 @@ func (r *runner) apply(st Step) bool {
 	return false
 }
 
-// submitOne fires one uniquely keyed strict submission through the
-// preferred node (shared by StepSubmit and StepSubmitBurst).
+// submitOne fires one uniquely keyed submission through the preferred
+// node (shared by StepSubmit and StepSubmitBurst).
 func (r *runner) submitOne(node int) bool {
 	id := r.pickAlive(node)
 	if id == "" {
@@ -505,13 +509,21 @@ func (r *runner) submitOne(node int) bool {
 		client: simClient, seq: uint64(r.nsub),
 		update: db.EncodeUpdate(db.Set(key, val), db.Add("ctr:"+key, 1)),
 	}
-	ch, err := rep.Engine.SubmitKeyedAsync(sub.client, sub.seq, sub.update, nil, types.SemStrict)
+	ch, err := rep.Engine.SubmitKeyedAsync(sub.client, sub.seq, sub.update, nil, r.semantics())
 	if err != nil {
 		return false
 	}
 	sub.attempts = append(sub.attempts, submitAttempt{origin: id, ch: ch})
 	r.subs = append(r.subs, sub)
 	return true
+}
+
+// semantics is the class every write of the schedule is submitted with.
+func (r *runner) semantics() types.Semantics {
+	if r.sched.Relaxed {
+		return types.SemCommutative
+	}
+	return types.SemStrict
 }
 
 // pickAlive returns the preferred node if alive, else the first alive

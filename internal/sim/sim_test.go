@@ -122,6 +122,29 @@ func TestSimBatchCorpus(t *testing.T) {
 	}
 }
 
+// TestSimRelaxedCorpus drives the retry-under-faults schedules with every
+// write submitted commutative (paper § 6): outside a primary, writes
+// apply eagerly while red, so a retried key that two components both hold
+// red, a barrier crash and the WAL replay after it all meet the
+// exactly-once counter and the convergence check. Runs in short mode too.
+func TestSimRelaxedCorpus(t *testing.T) {
+	if *simSeed != 0 {
+		t.Skip("-sim.seed set; see TestSimSeed")
+	}
+	for _, seed := range retryCorpus {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			sched := GenerateRetry(seed)
+			sched.Relaxed = true
+			res := Run(sched, Options{})
+			if res.Failed() {
+				t.Errorf("%v\npost-mortem:\n%s", res.Err, res.Report)
+			}
+		})
+	}
+}
+
 // TestSimFlakeSeed replays a schedule that has wedged a replica in
 // Construct during random exploration (the failure reproduces only under
 // interleaving pressure, so it is skipped by default). Run it with
@@ -139,13 +162,14 @@ func TestSimFlakeSeed(t *testing.T) {
 // random exploration drew and passed. TestSimRandom replays them beside
 // every fresh window, so a regression on those schedules shows under the
 // same subtest names from run to run.
-var keptRandomBases = []int64{1792218363760852619, 1792414552671231757}
+var keptRandomBases = []int64{1792218363760852619, 1792414552671231757, 1792429523769264387}
 
 const keptRandomRuns = 48
 
 // TestSimRandom explores fresh random seeds (long mode only), after the
-// kept windows. The base seed is logged so a failing batch is re-runnable
-// with -sim.seed.
+// kept windows. The fresh subtests are named by position (fresh=00 …) so
+// every run passes the same set of names; each logs its seed, which
+// -sim.seed replays.
 func TestSimRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random exploration skipped in short mode")
@@ -153,21 +177,22 @@ func TestSimRandom(t *testing.T) {
 	if *simSeed != 0 {
 		t.Skip("-sim.seed set; see TestSimSeed")
 	}
-	base := time.Now().UnixNano()
-	t.Logf("random base seed: %d (replay any failure via -sim.seed)", base)
-	seeds := make([]int64, 0, len(keptRandomBases)*keptRandomRuns+*simRuns)
 	for _, kept := range keptRandomBases {
 		for i := int64(0); i < keptRandomRuns; i++ {
-			seeds = append(seeds, kept+i)
+			seed := kept + i
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				t.Parallel()
+				runSeed(t, seed)
+			})
 		}
 	}
+	base := time.Now().UnixNano()
+	t.Logf("random base seed: %d (replay any failure via -sim.seed)", base)
 	for i := 0; i < *simRuns; i++ {
-		seeds = append(seeds, base+int64(i))
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+		seed := base + int64(i)
+		t.Run(fmt.Sprintf("fresh=%02d", i), func(t *testing.T) {
 			t.Parallel()
+			t.Logf("seed %d", seed)
 			runSeed(t, seed)
 		})
 	}
