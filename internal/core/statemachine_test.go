@@ -410,125 +410,6 @@ func TestVulnerabilityDissolvesWhenAttemptSetAccounted(t *testing.T) {
 	}
 }
 
-func TestRetransPlanAssignsHolders(t *testing.T) {
-	e, _, _ := testEngine(t, "a", "a", "b", "c")
-	e.conf = conf(5, "a", "b", "c")
-	e.stateMsgs = map[types.ServerID]stateMsg{
-		"a": {Server: "a", GreenCount: 10, BaseGreen: 0,
-			RedCut: map[types.ServerID]uint64{"a": 4, "b": 2}},
-		"b": {Server: "b", GreenCount: 7, BaseGreen: 0,
-			RedCut: map[types.ServerID]uint64{"a": 4, "b": 5}},
-		"c": {Server: "c", GreenCount: 10, BaseGreen: 6,
-			RedCut: map[types.ServerID]uint64{"a": 1}},
-	}
-	plan := e.computeRetransPlan()
-	if plan.greenTarget != 10 || plan.greensBlocked() {
-		t.Fatalf("green target %d blocked=%v", plan.greenTarget, plan.greensBlocked())
-	}
-	// Positions 8..10: only "a" can serve below c's base+1? a has
-	// GreenCount 10 and base 0, c has base 6 so c serves 7..10 too; the
-	// max-green then lowest-id rule picks "a" for every position.
-	for _, ch := range plan.greenChunks {
-		if ch.holder != "a" {
-			t.Fatalf("green chunk %+v not held by a", ch)
-		}
-	}
-	// Red ranges: creator a needs 2..4 (holder a, ties to lowest id);
-	// creator b needs 3..5 (holder b).
-	foundA, foundB := false, false
-	for _, rr := range plan.redRanges {
-		switch rr.creator {
-		case "a":
-			foundA = true
-			if rr.from != 2 || rr.to != 4 || rr.holder != "a" {
-				t.Fatalf("red range for a: %+v", rr)
-			}
-		case "b":
-			foundB = true
-			if rr.from != 1 || rr.to != 5 || rr.holder != "b" {
-				t.Fatalf("red range for b: %+v", rr)
-			}
-		}
-	}
-	if !foundA || !foundB {
-		t.Fatalf("missing red ranges: %+v", plan.redRanges)
-	}
-}
-
-func TestRetransPlanBlockedByWhiteHole(t *testing.T) {
-	e, _, _ := testEngine(t, "a", "a", "b")
-	e.conf = conf(5, "a", "b")
-	// b needs greens 3..10 but every holder white-collected through 6:
-	// positions 3..6 are unservable and the plan must refuse to equalize.
-	e.stateMsgs = map[types.ServerID]stateMsg{
-		"a": {Server: "a", GreenCount: 10, BaseGreen: 6, RedCut: map[types.ServerID]uint64{}},
-		"b": {Server: "b", GreenCount: 2, BaseGreen: 0, RedCut: map[types.ServerID]uint64{}},
-	}
-	plan := e.computeRetransPlan()
-	if !plan.greensBlocked() {
-		t.Fatalf("plan should be blocked: %+v", plan)
-	}
-	if plan.greenTarget != 2 {
-		t.Fatalf("green target %d, want 2", plan.greenTarget)
-	}
-}
-
-func TestComputeKnowledgeAdoptsNewestPrimary(t *testing.T) {
-	e, _, _ := testEngine(t, "a", "a", "b", "c")
-	e.conf = conf(7, "a", "b", "c")
-	newer := PrimComponent{PrimIndex: 5, AttemptIndex: 2, Servers: []types.ServerID{"b", "c"}}
-	e.stateMsgs = map[types.ServerID]stateMsg{
-		"a": {Server: "a", Prim: PrimComponent{PrimIndex: 3, Servers: []types.ServerID{"a", "b", "c"}}},
-		"b": {Server: "b", Prim: newer, AttemptIndex: 4,
-			Yellow: Yellow{Status: true, Set: []types.ActionID{{Server: "x", Index: 1}, {Server: "x", Index: 2}}}},
-		"c": {Server: "c", Prim: newer,
-			Yellow: Yellow{Status: true, Set: []types.ActionID{{Server: "x", Index: 2}}}},
-	}
-	e.computeKnowledge()
-	if !e.prim.Equal(newer) {
-		t.Fatalf("prim %+v", e.prim)
-	}
-	if e.attemptIndex != 4 {
-		t.Fatalf("attemptIndex %d", e.attemptIndex)
-	}
-	// Yellow: the intersection of the valid group's sets.
-	if !e.yellow.Status || len(e.yellow.Set) != 1 || e.yellow.Set[0] != (types.ActionID{Server: "x", Index: 2}) {
-		t.Fatalf("yellow %+v", e.yellow)
-	}
-}
-
-// TestComputeKnowledgeOrderIndependent: a is vulnerable to an attempt
-// whose set is {a, b}, b to the same attempt with set {b, c}, and c
-// reports no vulnerability. c's report makes b's record moot, and that
-// makes a's moot in turn, whichever record the step looks at first. A
-// single pass over the map cleared a only when it happened to visit b
-// first, so members fed the same state messages could disagree.
-func TestComputeKnowledgeOrderIndependent(t *testing.T) {
-	e, _, _ := testEngine(t, "a", "a", "b", "c")
-	e.conf = conf(7, "a", "b", "c")
-	prim := PrimComponent{PrimIndex: 5, AttemptIndex: 1, Servers: []types.ServerID{"a", "b", "c"}}
-	vuln := func(set ...types.ServerID) Vulnerable {
-		return Vulnerable{Status: true, PrimIndex: 5, AttemptIndex: 2, Set: set,
-			Bits: map[types.ServerID]bool{}}
-	}
-	verdicts := map[string]int{}
-	for i := 0; i < 300; i++ {
-		e.stateMsgs = map[types.ServerID]stateMsg{
-			"a": {Server: "a", Prim: prim, AttemptIndex: 2, Vuln: vuln("a", "b")},
-			"b": {Server: "b", Prim: prim, AttemptIndex: 2, Vuln: vuln("b", "c")},
-			"c": {Server: "c", Prim: prim, AttemptIndex: 2},
-		}
-		e.computeKnowledge()
-		v := fmt.Sprintf("a=%v b=%v c=%v quorum=%v", e.vulnByServer["a"].Status,
-			e.vulnByServer["b"].Status, e.vulnByServer["c"].Status, e.isQuorum())
-		verdicts[v]++
-	}
-	want := "a=false b=false c=false quorum=true"
-	if len(verdicts) != 1 || verdicts[want] == 0 {
-		t.Fatalf("verdicts over 300 map orders: %v, want only %q", verdicts, want)
-	}
-}
-
 func TestRecoveryRestoresGreensAndOngoing(t *testing.T) {
 	gc := newFakeGC()
 	log := storage.NewMemLog(storage.Options{Policy: storage.SyncNone})
