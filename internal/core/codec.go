@@ -11,15 +11,19 @@ import (
 	"evsdb/internal/types"
 )
 
-// One framed codec serves the wire and the WAL, version 3 of each.
-// Version 3 makes the bundle the only form an action takes: every action
-// multicast is an emBatch of n >= 1, and every red, green and ongoing
-// record is a batch record of n >= 1 (version 2 also had single-action
-// kinds beside them). Inside every action, the Update and Query bytes use
-// the binary db payload codec (internal/db/codec.go), as since version 2.
-// A log of another version is refused at recovery and another version's
-// peer frames are dropped as foreign, both with ErrCodecVersion, rather
-// than replayed or applied as aborts.
+// One framed codec serves the wire and the WAL: version 3 of the wire,
+// version 4 of the WAL. Wire version 3 and WAL version 3 made the bundle
+// the only form an action takes: every action multicast is an emBatch of
+// n >= 1, and every red, green and ongoing record is a batch record of
+// n >= 1 (version 2 also had single-action kinds beside them). WAL
+// version 4 adds a byte to the red record that says whether the live
+// engine tracked its actions (see markRedBatch), so replay applies
+// relaxed actions where the live engine did. Inside every action, the
+// Update and Query bytes use the binary db payload codec
+// (internal/db/codec.go), as since version 2. A log of another version is
+// refused at recovery and another version's peer frames are dropped as
+// foreign, both with ErrCodecVersion, rather than replayed or applied as
+// aborts.
 //
 // Every engine message and every log record starts with a three-byte
 // header:
@@ -43,7 +47,7 @@ const (
 	engineMagic   = 0xEC
 	engineCodecV3 = 3
 	walMagic      = 0xE7
-	walCodecV3    = 3
+	walCodecV4    = 4
 )
 
 // ErrCodecVersion marks an engine frame or WAL record written by another
@@ -309,9 +313,16 @@ func decodeEngineMsg(buf []byte) (engineMsg, error) {
 
 // appendLogRecord appends the full framed encoding of one WAL record.
 func appendLogRecord(buf []byte, rec logRecord) []byte {
-	buf = append(buf, walMagic, walCodecV3, byte(rec.Kind))
+	buf = append(buf, walMagic, walCodecV4, byte(rec.Kind))
 	switch rec.Kind {
-	case recRedBatch, recOngoingBatch:
+	case recRedBatch:
+		if rec.Track {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		return appendActions(buf, rec.Actions)
+	case recOngoingBatch:
 		return appendActions(buf, rec.Actions)
 	case recGreenBatch:
 		buf = putU32(buf, uint32(len(rec.IDs)))
@@ -329,13 +340,18 @@ func appendLogRecord(buf []byte, rec logRecord) []byte {
 }
 
 func decodeLogRecord(buf []byte) (logRecord, error) {
-	k, rest, err := frameBody(buf, walMagic, walCodecV3, "WAL record")
+	k, rest, err := frameBody(buf, walMagic, walCodecV4, "WAL record")
 	if err != nil {
 		return logRecord{}, err
 	}
 	rec, ok := logRecord{Kind: recKind(k)}, false
 	switch rec.Kind {
-	case recRedBatch, recOngoingBatch:
+	case recRedBatch:
+		if len(rest) > 0 && rest[0] <= 1 {
+			rec.Track = rest[0] == 1
+			rec.Actions, rest, ok = getActions(rest[1:])
+		}
+	case recOngoingBatch:
 		rec.Actions, rest, ok = getActions(rest)
 	case recGreenBatch:
 		var n int

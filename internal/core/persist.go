@@ -32,6 +32,7 @@ const (
 type logRecord struct {
 	Kind    recKind
 	Actions []types.Action   // recRedBatch and recOngoingBatch
+	Track   bool             // recRedBatch: the live engine tracked the actions
 	IDs     []types.ActionID // recGreenBatch
 	State   *persistState    // recState
 	Snap    *JoinSnapshot    // recCheckpoint
@@ -170,11 +171,14 @@ func (e *Engine) recover() error {
 				return fmt.Errorf("record %d: %w", i, err)
 			}
 		case recRedBatch:
-			// Tracking redoes the eager apply of relaxed actions under the
-			// live rule, so a key applied under one action id is not
-			// applied again under another; their green records then skip
-			// re-application.
-			e.markRedBatch(rec.Actions, true)
+			// Replay tracks what the live engine tracked: it redoes the
+			// eager apply of relaxed actions the live engine applied while
+			// red, under the live rule, so a key applied under one action
+			// id is not applied again under another, and their green
+			// records skip re-application. A relaxed action the live
+			// engine greened at once applies at its green record, in green
+			// order.
+			e.markRedBatch(rec.Actions, rec.Track)
 		case recGreenBatch:
 			e.applyGreenBatch(e.queuedActions(rec.IDs))
 		case recOngoingBatch:

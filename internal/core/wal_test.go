@@ -40,7 +40,7 @@ func walSpecimens() map[string]logRecord {
 	bare := types.Action{ID: types.ActionID{Server: "s01", Index: 1}, Type: types.ActionJoin, Target: "s05"}
 	ids := []types.ActionID{full.ID, bare.ID, {Server: "", Index: 0}}
 	return map[string]logRecord{
-		"redBatch":     {Kind: recRedBatch, Actions: []types.Action{full, bare}},
+		"redBatch":     {Kind: recRedBatch, Actions: []types.Action{full, bare}, Track: true},
 		"greenBatch":   {Kind: recGreenBatch, IDs: ids},
 		"ongoingBatch": {Kind: recOngoingBatch, Actions: []types.Action{bare, full}},
 		"state": {Kind: recState, State: &persistState{
@@ -83,7 +83,7 @@ func readCorpusFile(t *testing.T, path string) []byte {
 
 // TestWALRecordRoundTrip: every kind decodes to what was encoded and
 // re-encodes to the same bytes, and those bytes are the committed seed
-// corpus — format v3 cannot drift without this test (and walCodecV3)
+// corpus — format v4 cannot drift without this test (and walCodecV4)
 // being touched.
 func TestWALRecordRoundTrip(t *testing.T) {
 	specimens := walSpecimens()
@@ -92,7 +92,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	for name, rec := range specimens {
 		frame := appendLogRecord(nil, rec)
-		if frame[0] != walMagic || frame[1] != walCodecV3 || frame[2] != byte(rec.Kind) {
+		if frame[0] != walMagic || frame[1] != walCodecV4 || frame[2] != byte(rec.Kind) {
 			t.Fatalf("%s: header % x", name, frame[:3])
 		}
 		got, err := decodeLogRecord(frame)
@@ -108,7 +108,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		path := filepath.Join("testdata", "fuzz", "FuzzWALRecord", "kind-"+name)
 		if seed := readCorpusFile(t, path); !bytes.Equal(seed, frame) {
 			t.Fatalf("%s holds a different frame than the encoder writes; if the format changed on purpose, "+
-				"bump walCodecV3 and replace the file's value with\n[]byte(%q)", path, frame)
+				"bump walCodecV4 and replace the file's value with\n[]byte(%q)", path, frame)
 		}
 	}
 }
@@ -128,7 +128,7 @@ func TestWALRecordRejectsDamage(t *testing.T) {
 			bad := append([]byte(nil), frame...)
 			bad[i] ^= 0xFF
 			if i == 1 {
-				bad[i] = walCodecV3 + 1
+				bad[i] = walCodecV4 + 1
 			}
 			got, err := decodeLogRecord(bad)
 			if err == nil || !strings.Contains(err.Error(), want) || !reflect.DeepEqual(got, logRecord{}) {
@@ -155,7 +155,7 @@ func TestWALRecordRejectsDamage(t *testing.T) {
 // themselves.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte(`{"t":"red","action":{"id":{"server":"s00","index":1}}}`))
-	f.Add([]byte{walMagic, walCodecV3})
+	f.Add([]byte{walMagic, walCodecV4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeLogRecord(data)
 		if err != nil {
@@ -300,31 +300,76 @@ func TestRecoverRejectsJSONEraLog(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsV2Log: a version 2 log may hold single-action
-// records, a kind version 3 no longer has. Recovery must refuse it with
-// ErrCodecVersion, naming the record, rather than replay it.
-func TestRecoverRejectsV2Log(t *testing.T) {
+// recoverRefuses asserts that recovery from a log holding frame refuses
+// it with ErrCodecVersion and an error naming each of want.
+func recoverRefuses(t *testing.T, frame []byte, want ...string) {
+	t.Helper()
 	log := storage.NewMemLog(storage.Options{Policy: storage.SyncNone})
-	// A version 2 single-action ongoing record: header, then one action.
-	v2 := appendAction([]byte{walMagic, 2, 3}, types.Action{
-		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
-		Update: db.EncodeUpdate(db.Set("k", "v")),
-	})
-	if err := log.Append(v2); err != nil {
+	if err := log.Append(frame); err != nil {
 		t.Fatal(err)
 	}
 	e, err := New(Config{ID: "a", Servers: []types.ServerID{"a"}, GC: newFakeGC(), Log: log, Recover: true})
 	if err == nil {
 		e.Close()
-		t.Fatal("recovery replayed a version 2 log")
+		t.Fatalf("recovery replayed % x", frame[:3])
 	}
 	if !errors.Is(err, ErrCodecVersion) {
 		t.Fatalf("error %q does not wrap ErrCodecVersion", err)
 	}
-	for _, want := range []string{"record 0", "frame v2", "speaks v3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not name %q", err, want)
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("error %q does not name %q", err, w)
 		}
+	}
+}
+
+// TestRecoverRejectsV2Log: a version 2 log may hold single-action
+// records, a kind version 3 no longer has. Recovery must refuse it with
+// ErrCodecVersion, naming the record, rather than replay it.
+func TestRecoverRejectsV2Log(t *testing.T) {
+	// A version 2 single-action ongoing record: header, then one action.
+	recoverRefuses(t, appendAction([]byte{walMagic, 2, 3}, types.Action{
+		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
+		Update: db.EncodeUpdate(db.Set("k", "v")),
+	}), "record 0", "frame v2", "speaks v4")
+}
+
+// TestRecoverRejectsV3Log: a version 3 red record does not say whether
+// the live engine tracked its actions, so replay could not know where to
+// apply relaxed ones. Recovery must refuse it, naming the record.
+func TestRecoverRejectsV3Log(t *testing.T) {
+	recoverRefuses(t, appendActions([]byte{walMagic, 3, byte(recRedBatch)}, []types.Action{{
+		ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
+		Update: db.EncodeUpdate(db.Set("k", "v")),
+	}}), "record 0", "frame v3", "speaks v4")
+}
+
+// TestReplayAppliesRelaxedInGreenOrder: a singleton primary greens the
+// bundle {strict Set x=5, commutative Add x 1} at once, so the live
+// engine applies the Add after the Set and reads "6". Replay must do the
+// same; before the red record said whether the live engine tracked its
+// actions, replay applied the Add eagerly at the red record, before the
+// Set, and read "5".
+func TestReplayAppliesRelaxedInGreenOrder(t *testing.T) {
+	e, gc, log := testEngine(t, "a", "a")
+	exchangeToPrim(t, e, gc, conf(1, "a"), nil)
+	deliver(e,
+		types.Action{ID: types.ActionID{Server: "a", Index: 1}, Type: types.ActionUpdate,
+			Semantics: types.SemStrict, Update: db.EncodeUpdate(db.Set("x", "5"))},
+		types.Action{ID: types.ActionID{Server: "a", Index: 2}, Type: types.ActionUpdate,
+			Semantics: types.SemCommutative, Update: db.EncodeUpdate(db.Add("x", 1))})
+	if res, _ := e.db.QueryGreen(db.Get("x")); res.Value != "6" {
+		t.Fatalf("live x=%q, want 6", res.Value)
+	}
+	r, err := newEngine(Config{ID: "a", Servers: []types.ServerID{"a"}, GC: newFakeGC(), Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.recover(); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := r.db.QueryGreen(db.Get("x")); res.Value != "6" {
+		t.Fatalf("after replay x=%q, want 6", res.Value)
 	}
 }
 
