@@ -21,10 +21,14 @@ const (
 	// EvConfTrans: transitional configuration delivered. A=conf id,
 	// B=members.
 	EvConfTrans
-	// EvExchangeStart: state-exchange round began. A=round number.
+	// EvExchangeStart: a state exchange began. A=exchanges started so
+	// far at this server.
 	EvExchangeStart
-	// EvExchangeEnd: retransmission finished. A=round number, B=1 if a
-	// quorum was present (→ Construct), 0 otherwise (→ NonPrim).
+	// EvExchangeEnd: retransmission finished. A=exchanges started so far
+	// at this server, B=1 if a quorum was present (→ Construct), 0
+	// otherwise (→ NonPrim), C=hash of the state messages the verdict was
+	// decided from: members that show different hashes for one exchange
+	// decided from different inputs.
 	EvExchangeEnd
 	// EvAdmissionReject: a submission was rejected by admission control.
 	// A=in-flight count at rejection.
@@ -152,13 +156,13 @@ func (e Event) String() string {
 	case EvConfTrans:
 		return fmt.Sprintf("%s #%-5d conf-trans id=%d members=%d", ts, e.Seq, e.A, e.B)
 	case EvExchangeStart:
-		return fmt.Sprintf("%s #%-5d exch-start round=%d", ts, e.Seq, e.A)
+		return fmt.Sprintf("%s #%-5d exch-start exchange=%d", ts, e.Seq, e.A)
 	case EvExchangeEnd:
 		outcome := "no-quorum"
 		if e.B == 1 {
 			outcome = "quorum"
 		}
-		return fmt.Sprintf("%s #%-5d exch-end   round=%d %s", ts, e.Seq, e.A, outcome)
+		return fmt.Sprintf("%s #%-5d exch-end   exchange=%d %s input=%016x", ts, e.Seq, e.A, outcome, e.C)
 	case EvAdmissionReject:
 		return fmt.Sprintf("%s #%-5d admission-reject inflight=%d", ts, e.Seq, e.A)
 	case EvWALSync:
